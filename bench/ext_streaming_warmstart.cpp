@@ -44,23 +44,19 @@ int main(int argc, char** argv) {
     hsbp::util::Table table({"part", "V", "E", "warm_s", "cold_s",
                              "saving", "warm_NMI", "cold_NMI"});
 
-    // Warm chain, timed per part (same logic as run_streaming, unrolled
-    // so each part's wall time is captured separately).
+    // Warm chain, timed per part: the warm_refit policy run_streaming
+    // applies, called here part by part so each part's wall time is
+    // captured separately.
     std::vector<double> warm_seconds;
     std::vector<hsbp::sbp::SbpResult> warm_results;
+    const hsbp::sbp::SbpResult none;
     for (std::size_t i = 0; i < stream.snapshots.size(); ++i) {
       hsbp::util::Timer part_timer;
-      if (i == 0 || warm_results.back().num_blocks <= 2) {
-        warm_results.push_back(hsbp::sbp::run(stream.snapshots[i], config));
-      } else {
-        auto blocks = warm_results.back().num_blocks;
-        const auto extended = hsbp::sbp::extend_assignment(
-            stream.snapshots[i], warm_results.back().assignment, blocks);
-        const auto warm_assignment = hsbp::sbp::refine_assignment(
-            extended, blocks, 3, config.seed + i);
-        warm_results.push_back(hsbp::sbp::run_warm(
-            stream.snapshots[i], config, warm_assignment, blocks));
-      }
+      const hsbp::sbp::SbpResult& previous =
+          i == 0 ? none : warm_results.back();
+      warm_results.push_back(hsbp::sbp::warm_refit(
+          stream.snapshots[i], previous.assignment, previous.num_blocks,
+          config, 3, config.seed + i));
       warm_seconds.push_back(part_timer.elapsed());
     }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the exact verify line from ROADMAP.md, with an
-# optional sanitizer toggle, followed by a sanitized pass over the
-# fault-injection/durability suite (`ctest -L fault`).
+# optional sanitizer toggle, then a build of the benchmark driver
+# against this tree and its helper tests, followed by a sanitized pass
+# over the fault-injection/durability suite (`ctest -L fault`).
 #
 # Usage: scripts/check_tier1.sh [BUILD_DIR]
 #   HSBP_SANITIZE=address,undefined scripts/check_tier1.sh build-asan
@@ -57,6 +58,15 @@ fi
 cmake -B "$BUILD_DIR" -S . "${CMAKE_FLAGS[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
+
+# Stage 1b: the repository benchmark. Its driver (perfbench/) compiles
+# against sbp::*_phase, GoldenSearch and serve::make_snapshot, so build
+# it against this tree's src/ (out of tree, under the build dir): a
+# src/ API edit that breaks the benchmark fails tier-1 here. Then run
+# the tests of the benchmark's own helpers.
+cmake -B "$BUILD_DIR/perfbench" -S perfbench
+cmake --build "$BUILD_DIR/perfbench" -j "$JOBS" --target perfbench
+python3 perfbench/run.py --self-test
 
 # Stage 2: rebuild the fault-labelled tests under ASan/UBSan — the
 # checkpoint/durability suite plus the ServeFault* torture tests

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "blockmodel/labels.hpp"
 #include "blockmodel/mdl.hpp"
 #include "sbp/block_merge.hpp"
 #include "sbp/golden_search.hpp"
@@ -78,30 +79,6 @@ std::vector<RankUpdates> distributed_pass(
   return updates;
 }
 
-/// Compacts away empty blocks (possible when two ranks concurrently
-/// drain the same block — the coordination real distribution also
-/// lacks). Returns true if a compaction happened.
-bool compact_empty_blocks(std::vector<std::int32_t>& assignment,
-                          BlockId& num_blocks) {
-  std::vector<std::int32_t> counts(static_cast<std::size_t>(num_blocks), 0);
-  for (const std::int32_t label : assignment) {
-    ++counts[static_cast<std::size_t>(label)];
-  }
-  std::vector<std::int32_t> remap(static_cast<std::size_t>(num_blocks), -1);
-  BlockId next = 0;
-  for (BlockId r = 0; r < num_blocks; ++r) {
-    if (counts[static_cast<std::size_t>(r)] > 0) {
-      remap[static_cast<std::size_t>(r)] = next++;
-    }
-  }
-  if (next == num_blocks) return false;
-  for (auto& label : assignment) {
-    label = remap[static_cast<std::size_t>(label)];
-  }
-  num_blocks = next;
-  return true;
-}
-
 /// The distributed MCMC phase: passes of distributed_pass + exchange +
 /// rebuild until the convergence window closes.
 struct DistPhaseOutcome {
@@ -141,8 +118,11 @@ DistPhaseOutcome distributed_mcmc_phase(const Graph& graph, Blockmodel& b,
     ledger.record(CollectiveKind::AllGatherUpdates, moved * kUpdateBytes,
                   partition.ranks);
 
-    BlockId num_blocks = b.num_blocks();
-    compact_empty_blocks(next, num_blocks);
+    // Compact away empty blocks (possible when two ranks concurrently
+    // drain the same block — the coordination real distribution also
+    // lacks).
+    const BlockId num_blocks =
+        blockmodel::compact_labels(next, b.num_blocks());
     b = Blockmodel::from_assignment(graph, next, num_blocks);
     ledger.record(
         CollectiveKind::RebuildAllReduce,

@@ -3,11 +3,13 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "blockmodel/labels.hpp"
 #include "blockmodel/mdl.hpp"
+#include "sample/extrapolate.hpp"
 #include "sbp/mcmc_common.hpp"
 #include "sbp/streaming.hpp"
 #include "util/timer.hpp"
@@ -26,92 +28,6 @@ void release(const OocConfig& config) {
   if (config.release_cache) config.release_cache();
 }
 
-/// Plurality block among v's already-labeled neighbors — the rule of
-/// sample/extrapolate.cpp (multiplicity counts, ties toward the smaller
-/// block id); −1 if no neighbor is labeled yet.
-BlockId plurality_block(const GraphView& graph,
-                        const std::vector<std::int32_t>& assignment,
-                        std::vector<std::int64_t>& votes,
-                        std::vector<BlockId>& touched, Vertex v) {
-  touched.clear();
-  const auto tally = [&](Vertex u) {
-    const std::int32_t block = assignment[static_cast<std::size_t>(u)];
-    if (block < 0) return;
-    if (votes[static_cast<std::size_t>(block)] == 0) touched.push_back(block);
-    ++votes[static_cast<std::size_t>(block)];
-  };
-  for (const Vertex u : graph.out_neighbors(v)) tally(u);
-  for (const Vertex u : graph.in_neighbors(v)) tally(u);
-
-  BlockId best = -1;
-  std::int64_t best_votes = 0;
-  for (const BlockId block : touched) {
-    const std::int64_t count = votes[static_cast<std::size_t>(block)];
-    votes[static_cast<std::size_t>(block)] = 0;
-    if (count > best_votes || (count == best_votes && block < best)) {
-      best = block;
-      best_votes = count;
-    }
-  }
-  return best;
-}
-
-/// Stage 2: the extrapolation of sample/extrapolate.cpp, minus the
-/// full-graph model build (stage 4 does that chunked) and with the
-/// release hook pulled every `chunk` dequeued vertices so the BFS's
-/// walk over the mapped CSR never accumulates residency.
-void chunked_extrapolate(const GraphView& graph, const OocConfig& config,
-                         const sample::SampledGraph& skeleton,
-                         const std::vector<std::int32_t>& sample_assignment,
-                         BlockId num_blocks,
-                         std::vector<std::int32_t>& assignment,
-                         OocResult& out) {
-  assignment.assign(static_cast<std::size_t>(graph.num_vertices()), -1);
-  for (std::size_t s = 0; s < skeleton.to_full.size(); ++s) {
-    assignment[static_cast<std::size_t>(skeleton.to_full[s])] =
-        sample_assignment[s];
-  }
-
-  std::deque<Vertex> queue(skeleton.to_full.begin(), skeleton.to_full.end());
-  std::vector<std::int64_t> votes(static_cast<std::size_t>(num_blocks), 0);
-  std::vector<BlockId> touched;
-  const auto visit = [&](Vertex u) {
-    if (assignment[static_cast<std::size_t>(u)] >= 0) return;
-    const BlockId block = plurality_block(graph, assignment, votes, touched, u);
-    if (block < 0) return;  // all neighbors still unlabeled; revisit later
-    assignment[static_cast<std::size_t>(u)] = block;
-    ++out.frontier_assigned;
-    queue.push_back(u);
-  };
-  std::int64_t dequeued = 0;
-  while (!queue.empty()) {
-    const Vertex v = queue.front();
-    queue.pop_front();
-    for (const Vertex u : graph.out_neighbors(v)) visit(u);
-    for (const Vertex u : graph.in_neighbors(v)) visit(u);
-    if (++dequeued % config.chunk_vertices == 0) release(config);
-  }
-
-  // Vertices with no path to the skeleton: join the largest block so
-  // far (smallest id on ties); the fine-tune moves them somewhere
-  // sensible.
-  BlockId fallback = 0;
-  {
-    std::vector<std::int64_t> sizes(static_cast<std::size_t>(num_blocks), 0);
-    for (const std::int32_t block : assignment) {
-      if (block >= 0) ++sizes[static_cast<std::size_t>(block)];
-    }
-    fallback = static_cast<BlockId>(
-        std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-  }
-  for (auto& block : assignment) {
-    if (block < 0) {
-      block = fallback;
-      ++out.isolated_assigned;
-    }
-  }
-}
-
 /// Stage 3, one piece: warm-refit the induced subgraph from its current
 /// global labels and stitch the result back. The piece fit gets a
 /// compacted label space (run_warm requires dense labels); each result
@@ -127,18 +43,14 @@ void refit_piece(const OocConfig& config, const GraphView& graph,
   if (piece_vertices < 2 || piece.subgraph.num_edges() == 0) return;
 
   // Compact this piece's global labels to a dense local space.
-  std::vector<BlockId> local_of_global(static_cast<std::size_t>(num_blocks),
-                                       -1);
   std::vector<std::int32_t> local_labels(
       static_cast<std::size_t>(piece_vertices));
-  BlockId local_blocks = 0;
   for (Vertex s = 0; s < piece_vertices; ++s) {
-    const std::int32_t global = assignment[static_cast<std::size_t>(
-        piece.to_full[static_cast<std::size_t>(s)])];
-    auto& local = local_of_global[static_cast<std::size_t>(global)];
-    if (local < 0) local = local_blocks++;
-    local_labels[static_cast<std::size_t>(s)] = local;
+    local_labels[static_cast<std::size_t>(s)] = assignment[
+        static_cast<std::size_t>(piece.to_full[static_cast<std::size_t>(s)])];
   }
+  const BlockId local_blocks =
+      blockmodel::compact_labels(local_labels, num_blocks);
 
   sbp::SbpConfig piece_config = config.base;
   piece_config.seed =
@@ -170,22 +82,6 @@ void refit_piece(const OocConfig& config, const GraphView& graph,
         global_of_result[static_cast<std::size_t>(
             refit.assignment[static_cast<std::size_t>(s)])];
   }
-}
-
-/// Compacts labels to a dense [0, C') space (pieces can abandon a
-/// skeleton block entirely). Returns the new block count.
-BlockId compact_labels(std::vector<std::int32_t>& assignment,
-                       BlockId num_blocks) {
-  std::vector<std::int32_t> dense(static_cast<std::size_t>(num_blocks), -1);
-  BlockId next = 0;
-  for (const std::int32_t block : assignment) {
-    auto& d = dense[static_cast<std::size_t>(block)];
-    if (d < 0) d = next++;
-  }
-  for (auto& block : assignment) {
-    block = dense[static_cast<std::size_t>(block)];
-  }
-  return next;
 }
 
 }  // namespace
@@ -247,12 +143,17 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
   const sbp::SbpResult skeleton_fit = sbp::run(skeleton.subgraph, config.base);
   out.timings.skeleton_seconds = stage.elapsed();
 
-  // Stage 2: chunked BFS-plurality extrapolation to the full view.
+  // Stage 2: BFS-plurality extrapolation to the full view, releasing
+  // the mapped CSR every chunk of dequeued vertices so the frontier's
+  // walk never accumulates residency.
   stage.reset();
-  std::vector<std::int32_t> assignment;
-  chunked_extrapolate(graph, config, skeleton, skeleton_fit.assignment,
-                      skeleton_fit.num_blocks, assignment, out);
-  BlockId num_blocks = skeleton_fit.num_blocks;
+  sample::ExtrapolationResult extrapolated = sample::extrapolate(
+      graph, skeleton, skeleton_fit.assignment, skeleton_fit.num_blocks,
+      config.chunk_vertices, [&config] { release(config); });
+  std::vector<std::int32_t> assignment = std::move(extrapolated.assignment);
+  BlockId num_blocks = extrapolated.num_blocks;
+  out.frontier_assigned = extrapolated.frontier_assigned;
+  out.isolated_assigned = extrapolated.isolated_assigned;
   release(config);
   out.timings.extrapolate_seconds = stage.elapsed();
 
@@ -273,7 +174,8 @@ OocResult fit(const GraphView& graph, const OocConfig& config) {
       ++out.pieces_refit;
       release(config);
     }
-    num_blocks = compact_labels(assignment, num_blocks);
+    // Pieces can abandon a skeleton block entirely.
+    num_blocks = blockmodel::compact_labels(assignment, num_blocks);
   }
   out.timings.pieces_seconds = stage.elapsed();
 

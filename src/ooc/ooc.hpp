@@ -11,10 +11,10 @@
 ///                   the configured sbp::Variant. Only the skeleton
 ///                   subgraph lives on the heap.
 ///   2. extrapolate— BFS-plurality propagation of the skeleton's blocks
-///                   to every vertex (the rule of extrapolate.cpp),
-///                   chunked: every `chunk_vertices` dequeues the
-///                   release_cache hook drops the mapped CSR pages the
-///                   frontier just crossed.
+///                   to every vertex: sample::extrapolate itself, with
+///                   its chunk callback wired to release_cache, so every
+///                   `chunk_vertices` dequeues drop the mapped CSR pages
+///                   the frontier just crossed.
 ///   3. pieces     — partition the vertex set into K pieces
 ///                   (dist::partition_vertices; K from the budget vs.
 ///                   the in-memory CSR estimate), induce each piece's
@@ -22,7 +22,9 @@
 ///                   extrapolated labels (sbp::run_warm). Piece-local
 ///                   results are stitched back by plurality over the
 ///                   labels their vertices held before the refit, so
-///                   the global label space survives.
+///                   the global label space survives. Piece-local and
+///                   final labels are renumbered with
+///                   blockmodel::compact_labels.
 ///   4. fine-tune  — rebuild the global blockmodel with the chunked
 ///                   builder (Blockmodel::from_assignment_chunked) and
 ///                   polish with serial Metropolis-Hastings passes over

@@ -83,22 +83,14 @@ sbp::PhaseOutcome finetune(const Graph& graph, Blockmodel& model,
                      static_cast<std::size_t>(
                          std::max(1, omp_get_max_threads())));
 
-  switch (config.base.variant) {
-    case sbp::Variant::Metropolis:
-      return sbp::metropolis_hastings_phase(graph, model, settings, rngs);
-    case sbp::Variant::AsyncGibbs:
-      return sbp::async_gibbs_phase(graph, model, settings, rngs);
-    case sbp::Variant::Hybrid: {
-      const graph::DegreeSplit split = sbp::select_hybrid_vertices(
-          graph, config.base.hybrid_fraction, config.base.hybrid_selection,
-          config.base.seed);
-      return sbp::hybrid_phase(graph, model, settings, split, rngs);
-    }
-    case sbp::Variant::BatchedGibbs:
-      return sbp::batched_gibbs_phase(graph, model, settings,
-                                      config.base.batch_count, rngs);
+  graph::DegreeSplit split;
+  if (config.base.variant == sbp::Variant::Hybrid) {
+    split = sbp::select_hybrid_vertices(graph, config.base.hybrid_fraction,
+                                        config.base.hybrid_selection,
+                                        config.base.seed);
   }
-  throw std::logic_error("sample::run: unknown variant");
+  return sbp::run_mcmc_phase(graph, model, config.base, settings, split,
+                             rngs);
 }
 
 ckpt::SampleCheckpoint pipeline_checkpoint(const Graph& graph,
@@ -227,33 +219,30 @@ SamplePipelineResult run(const Graph& graph, const SampleConfig& config,
 
   // Stage 3 — extrapolate memberships to the unsampled remainder.
   stage.reset();
-  Blockmodel model;
-  double extrapolated_mdl = 0.0;
-  if (resumed.has_value() &&
-      resumed->stage >= ckpt::SampleStage::ExtrapolateDone) {
+  const bool extrapolation_resumed =
+      resumed.has_value() &&
+      resumed->stage >= ckpt::SampleStage::ExtrapolateDone;
+  if (extrapolation_resumed) {
     result.assignment = resumed->full_assignment;
     result.num_blocks = resumed->full_num_blocks;
-    result.mdl = resumed->full_mdl;
     result.frontier_assigned = resumed->frontier_assigned;
     result.isolated_assigned = resumed->isolated_assigned;
-    model = Blockmodel::from_assignment(graph, result.assignment,
-                                        result.num_blocks);
-    extrapolated_mdl = resumed->full_mdl;
   } else {
     ExtrapolationResult extrapolated =
         extrapolate(graph, sampled, result.sample_result.assignment,
                     result.sample_result.num_blocks);
-    result.timings.extrapolate_seconds = stage.elapsed();
-    result.frontier_assigned = extrapolated.frontier_assigned;
-    result.isolated_assigned = extrapolated.isolated_assigned;
-
-    model = std::move(extrapolated.model);
-    extrapolated_mdl =
-        blockmodel::mdl(model, graph.num_vertices(), graph.num_edges());
     result.assignment = std::move(extrapolated.assignment);
     result.num_blocks = extrapolated.num_blocks;
-    result.mdl = extrapolated_mdl;
-
+    result.frontier_assigned = extrapolated.frontier_assigned;
+    result.isolated_assigned = extrapolated.isolated_assigned;
+  }
+  Blockmodel model = Blockmodel::from_assignment(graph, result.assignment,
+                                                 result.num_blocks);
+  const double extrapolated_mdl =
+      blockmodel::mdl(model, graph.num_vertices(), graph.num_edges());
+  result.mdl = extrapolated_mdl;
+  if (!extrapolation_resumed) {
+    result.timings.extrapolate_seconds = stage.elapsed();
     if (result.sample_result.interrupted) {
       // Graceful shutdown mid-fit: the partial fit lives on in the
       // ".stage2" snapshot; hand back the extrapolated best-so-far.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "blockmodel/labels.hpp"
 #include "blockmodel/merge_delta.hpp"
 #include "sbp/proposal.hpp"
 #include "util/omp_region.hpp"
@@ -95,26 +96,14 @@ MergeOutcome block_merge_phase(const graph::GraphView& graph, const Blockmodel& 
     --remaining;
   }
 
-  // Densely relabel the surviving roots.
-  std::vector<BlockId> dense(static_cast<std::size_t>(num_blocks), -1);
-  BlockId next_label = 0;
-  for (BlockId c = 0; c < num_blocks; ++c) {
-    const BlockId root = find_root(parent, c);
-    if (dense[static_cast<std::size_t>(root)] < 0) {
-      dense[static_cast<std::size_t>(root)] = next_label++;
-    }
-  }
-
-  // Flatten root→dense into a per-old-block final label (O(C), serial,
-  // path compression mutates `parent`) so the O(V) relabel sweep below
-  // is a read-only data-parallel gather.
+  // Flatten each old block to its root and densely relabel the surviving
+  // roots (O(C), serial, path compression mutates `parent`) so the O(V)
+  // relabel sweep below is a read-only data-parallel gather.
   std::vector<BlockId> final_label(static_cast<std::size_t>(num_blocks));
   for (BlockId c = 0; c < num_blocks; ++c) {
-    final_label[static_cast<std::size_t>(c)] =
-        dense[static_cast<std::size_t>(find_root(parent, c))];
+    final_label[static_cast<std::size_t>(c)] = find_root(parent, c);
   }
-
-  outcome.num_blocks = next_label;
+  outcome.num_blocks = blockmodel::compact_labels(final_label, num_blocks);
   outcome.assignment.resize(b.assignment().size());
   const auto& old_assignment = b.assignment();
   const auto v_count = static_cast<std::int64_t>(old_assignment.size());

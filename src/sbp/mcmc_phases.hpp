@@ -7,6 +7,7 @@
 #include "graph/degree.hpp"
 #include "graph/view.hpp"
 #include "sbp/mcmc_common.hpp"
+#include "sbp/sbp.hpp"
 #include "util/rng.hpp"
 
 namespace hsbp::sbp {
@@ -54,5 +55,15 @@ PhaseOutcome batched_gibbs_phase(const graph::GraphView& graph,
                                  blockmodel::Blockmodel& b,
                                  const McmcSettings& settings,
                                  int batch_count, util::RngPool& rngs);
+
+/// The phase kernel of `config.variant` — the one variant dispatch that
+/// run() and the SamBaS fine-tune share. `split` is read by Hybrid only;
+/// `config.batch_count` by BatchedGibbs only.
+PhaseOutcome run_mcmc_phase(const graph::GraphView& graph,
+                            blockmodel::Blockmodel& b,
+                            const SbpConfig& config,
+                            const McmcSettings& settings,
+                            const graph::DegreeSplit& split,
+                            util::RngPool& rngs);
 
 }  // namespace hsbp::sbp

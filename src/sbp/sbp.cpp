@@ -36,6 +36,25 @@ const char* variant_name(Variant variant) noexcept {
   return "?";
 }
 
+PhaseOutcome run_mcmc_phase(const graph::GraphView& graph, Blockmodel& b,
+                            const SbpConfig& config,
+                            const McmcSettings& settings,
+                            const graph::DegreeSplit& split,
+                            util::RngPool& rngs) {
+  switch (config.variant) {
+    case Variant::Metropolis:
+      return metropolis_hastings_phase(graph, b, settings, rngs);
+    case Variant::AsyncGibbs:
+      return async_gibbs_phase(graph, b, settings, rngs);
+    case Variant::Hybrid:
+      return hybrid_phase(graph, b, settings, split, rngs);
+    case Variant::BatchedGibbs:
+      return batched_gibbs_phase(graph, b, settings, config.batch_count,
+                                 rngs);
+  }
+  throw std::logic_error("run_mcmc_phase: unknown variant");
+}
+
 namespace {
 
 void validate(const Graph& graph, const SbpConfig& config) {
@@ -64,25 +83,6 @@ void validate(const Graph& graph, const SbpConfig& config) {
   if (config.batch_count < 1) {
     throw std::invalid_argument("sbp::run: batch_count >= 1");
   }
-}
-
-PhaseOutcome run_mcmc_phase(const Graph& graph, Blockmodel& b,
-                            const SbpConfig& config,
-                            const McmcSettings& settings,
-                            const graph::DegreeSplit& split,
-                            util::RngPool& rngs) {
-  switch (config.variant) {
-    case Variant::Metropolis:
-      return metropolis_hastings_phase(graph, b, settings, rngs);
-    case Variant::AsyncGibbs:
-      return async_gibbs_phase(graph, b, settings, rngs);
-    case Variant::Hybrid:
-      return hybrid_phase(graph, b, settings, split, rngs);
-    case Variant::BatchedGibbs:
-      return batched_gibbs_phase(graph, b, settings, config.batch_count,
-                                 rngs);
-  }
-  throw std::logic_error("sbp::run: unknown variant");
 }
 
 /// Evaluated cold-start partition: every vertex in its own block.

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
+#include "blockmodel/labels.hpp"
 #include "util/timer.hpp"
 
 namespace hsbp::sbp {
@@ -14,7 +14,7 @@ using graph::Graph;
 using graph::Vertex;
 
 std::vector<std::int32_t> extend_assignment(
-    const Graph& graph, const std::vector<std::int32_t>& assignment,
+    const Graph& graph, std::span<const std::int32_t> assignment,
     BlockId& num_blocks) {
   const auto v_count = static_cast<std::size_t>(graph.num_vertices());
   if (assignment.size() > v_count) {
@@ -22,37 +22,25 @@ std::vector<std::int32_t> extend_assignment(
         "extend_assignment: snapshot has fewer vertices than the previous "
         "partition");
   }
+  for (const std::int32_t label : assignment) {
+    if (label < 0 || label >= num_blocks) {
+      throw std::invalid_argument(
+          "extend_assignment: previous label outside [0, num_blocks)");
+    }
+  }
   std::vector<std::int32_t> extended(v_count, -1);
   std::copy(assignment.begin(), assignment.end(), extended.begin());
 
-  // New vertices in id order: adopt the most common labeled neighbor
+  // New vertices in id order: adopt the plurality labeled neighbor
   // block. Earlier-extended new vertices count as labeled, so chains of
-  // new vertices attach to the existing structure where possible.
+  // new vertices attach to the existing structure where possible. Each
+  // new vertex opens at most one block, which bounds the label space.
+  blockmodel::PluralityVote plurality(
+      num_blocks + static_cast<BlockId>(v_count - assignment.size()));
   for (std::size_t v = assignment.size(); v < v_count; ++v) {
-    std::unordered_map<std::int32_t, int> votes;
-    const auto vertex = static_cast<Vertex>(v);
-    const auto tally = [&](Vertex u) {
-      if (static_cast<std::size_t>(u) == v) return;
-      const std::int32_t label = extended[static_cast<std::size_t>(u)];
-      if (label >= 0) ++votes[label];
-    };
-    for (const Vertex u : graph.out_neighbors(vertex)) tally(u);
-    for (const Vertex u : graph.in_neighbors(vertex)) tally(u);
-
-    if (votes.empty()) {
-      extended[v] = num_blocks++;
-      continue;
-    }
-    std::int32_t best_label = -1;
-    int best_votes = 0;
-    for (const auto& [label, count] : votes) {
-      if (count > best_votes ||
-          (count == best_votes && label < best_label)) {
-        best_label = label;
-        best_votes = count;
-      }
-    }
-    extended[v] = best_label;
+    const BlockId best =
+        plurality.vote(graph, extended, static_cast<Vertex>(v));
+    extended[v] = best >= 0 ? best : num_blocks++;
   }
   return extended;
 }
@@ -70,15 +58,28 @@ std::vector<std::int32_t> refine_assignment(
         rng.uniform_int(static_cast<std::uint64_t>(factor)));
     refined[v] = assignment[v] * factor + sub;
   }
-  // Compact to the occupied labels.
-  std::unordered_map<std::int32_t, std::int32_t> remap;
-  for (auto& label : refined) {
-    const auto [it, inserted] =
-        remap.try_emplace(label, static_cast<std::int32_t>(remap.size()));
-    label = it->second;
-  }
-  num_blocks = static_cast<BlockId>(remap.size());
+  num_blocks = blockmodel::compact_labels(refined, num_blocks * factor);
   return refined;
+}
+
+SbpResult warm_refit(const Graph& graph,
+                     std::span<const std::int32_t> previous_assignment,
+                     BlockId previous_blocks, const SbpConfig& config,
+                     int refine_factor, std::uint64_t refine_seed) {
+  if (graph.num_edges() == 0) {
+    SbpResult trivial;
+    trivial.assignment.assign(static_cast<std::size_t>(graph.num_vertices()),
+                              0);
+    trivial.num_blocks = graph.num_vertices() > 0 ? 1 : 0;
+    return trivial;
+  }
+  if (previous_blocks <= 2) return run(graph, config);
+  BlockId num_blocks = previous_blocks;
+  const auto extended =
+      extend_assignment(graph, previous_assignment, num_blocks);
+  const auto warm =
+      refine_assignment(extended, num_blocks, refine_factor, refine_seed);
+  return run_warm(graph, config, warm, num_blocks);
 }
 
 StreamingResult run_streaming(const std::vector<Graph>& snapshots,
@@ -101,33 +102,13 @@ StreamingResult run_streaming(const std::vector<Graph>& snapshots,
   StreamingResult result;
   result.snapshots.reserve(snapshots.size());
 
+  const SbpResult none;
   for (std::size_t part = 0; part < snapshots.size(); ++part) {
-    const Graph& graph = snapshots[part];
-    if (graph.num_edges() == 0) {
-      // Degenerate early snapshot (no edges yet): the only defensible
-      // partition is one structure-less block.
-      SbpResult trivial;
-      trivial.assignment.assign(
-          static_cast<std::size_t>(graph.num_vertices()), 0);
-      trivial.num_blocks = graph.num_vertices() > 0 ? 1 : 0;
-      result.snapshots.push_back(std::move(trivial));
-      continue;
-    }
-    // Merges only coarsen, so a warm start can refine downward from its
-    // block count but never split upward. A near-trivial previous
-    // partition (<= 2 blocks) therefore pins the search; re-run cold in
-    // that case.
-    if (part == 0 || result.snapshots.back().num_blocks <= 2) {
-      result.snapshots.push_back(run(graph, config));
-      continue;
-    }
-    const SbpResult& previous = result.snapshots.back();
-    BlockId num_blocks = previous.num_blocks;
-    const auto extended =
-        extend_assignment(graph, previous.assignment, num_blocks);
-    const auto warm = refine_assignment(extended, num_blocks, refine_factor,
-                                        config.seed + part);
-    result.snapshots.push_back(run_warm(graph, config, warm, num_blocks));
+    const SbpResult& previous =
+        part == 0 ? none : result.snapshots.back();
+    result.snapshots.push_back(warm_refit(
+        snapshots[part], previous.assignment, previous.num_blocks, config,
+        refine_factor, config.seed + part));
   }
 
   result.total_seconds = total.elapsed();

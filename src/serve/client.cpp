@@ -1,6 +1,7 @@
 #include "serve/client.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -59,6 +60,10 @@ int dial_tcp(int port, std::string& error) noexcept {
     ::close(fd);
     return -1;
   }
+  // Frames go out as two writes (prefix, payload); without TCP_NODELAY
+  // Nagle holds the payload until the server's delayed ACK (~40 ms).
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
 }
 

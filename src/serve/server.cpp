@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -283,6 +284,13 @@ void Server::accept_loop() {
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    if (options_.socket_path.empty()) {
+      // write_frame sends the length prefix and the payload as two
+      // writes; with Nagle on, the second waits for the peer's delayed
+      // ACK of the first (~40 ms per reply).
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
     ++sessions_;
     if (options_.max_sessions > 0 &&
         active_sessions_.load() >=

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "blockmodel/blockmodel.hpp"
 #include "generator/dcsbm.hpp"
 #include "metrics/metrics.hpp"
 #include "sample/extrapolate.hpp"
@@ -40,7 +41,10 @@ TEST(Extrapolate, SampledKeepLabelsNeighborsJoinPlurality) {
   EXPECT_EQ(out.assignment, (std::vector<std::int32_t>{0, 0, 1, 0, 0}));
   EXPECT_EQ(out.frontier_assigned, 1);
   EXPECT_EQ(out.isolated_assigned, 1);
-  EXPECT_TRUE(out.model.check_consistency(g));
+  // extrapolate returns labels only; they must seed a valid model.
+  EXPECT_TRUE(blockmodel::Blockmodel::from_assignment(g, out.assignment,
+                                                      out.num_blocks)
+                  .check_consistency(g));
 }
 
 TEST(Extrapolate, ChainsPropagateThroughUnsampledVertices) {
@@ -68,6 +72,31 @@ TEST(Extrapolate, Validation) {
   EXPECT_THROW(
       extrapolate(g, sampled, std::vector<std::int32_t>{0, 1}, 0),
       std::invalid_argument);  // no blocks
+}
+
+TEST(Extrapolate, ChunkCallbackKeepsLabelsAndFiresEveryChunk) {
+  const auto g = planted(35);
+  const SampledGraph sampled =
+      sample_graph(g.graph, SamplerKind::UniformRandom, 0.2, 4);
+  std::vector<std::int32_t> labels(sampled.to_full.size());
+  for (std::size_t s = 0; s < labels.size(); ++s) {
+    labels[s] = g.ground_truth[static_cast<std::size_t>(sampled.to_full[s])];
+  }
+
+  const auto plain = extrapolate(g.graph, sampled, labels, 5);
+  std::int64_t calls = 0;
+  const auto chunked =
+      extrapolate(g.graph, sampled, labels, 5, 7, [&calls] { ++calls; });
+  EXPECT_EQ(chunked.assignment, plain.assignment);
+  EXPECT_EQ(chunked.frontier_assigned, plain.frontier_assigned);
+  EXPECT_EQ(chunked.isolated_assigned, plain.isolated_assigned);
+  // The BFS dequeues every sampled vertex and every frontier-labelled
+  // one exactly once.
+  const auto dequeued =
+      static_cast<std::int64_t>(sampled.to_full.size()) +
+      plain.frontier_assigned;
+  EXPECT_EQ(calls, dequeued / 7);
+  EXPECT_GT(calls, 0);
 }
 
 TEST(SamplePipeline, Validation) {

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "blockmodel/labels.hpp"
 #include "generator/dcsbm.hpp"
 #include "metrics/metrics.hpp"
 #include "sbp/streaming.hpp"
@@ -162,6 +163,94 @@ TEST(RefineAssignment, RejectsBadFactor) {
   const std::vector<std::int32_t> assignment = {0, 1};
   blockmodel::BlockId num_blocks = 2;
   EXPECT_THROW(refine_assignment(assignment, num_blocks, 0, 1),
+               std::invalid_argument);
+}
+
+TEST(CompactLabels, NumbersByFirstAppearanceAndDropsEmptyLabels) {
+  // Labels 2 and 4 of [0, 5) are empty and disappear; the rest are
+  // numbered in the order they first appear, not in ascending order.
+  std::vector<std::int32_t> labels = {3, 1, 3, 0, 1, 0};
+  EXPECT_EQ(blockmodel::compact_labels(labels, 5), 3);
+  EXPECT_EQ(labels, (std::vector<std::int32_t>{0, 1, 0, 2, 1, 2}));
+
+  std::vector<std::int32_t> none;
+  EXPECT_EQ(blockmodel::compact_labels(none, 4), 0);
+}
+
+TEST(CompactLabels, RejectsLabelsOutsideTheBound) {
+  std::vector<std::int32_t> too_big = {0, 3};
+  EXPECT_THROW(blockmodel::compact_labels(too_big, 3), std::invalid_argument);
+  std::vector<std::int32_t> negative = {0, -1};
+  EXPECT_THROW(blockmodel::compact_labels(negative, 3), std::invalid_argument);
+}
+
+TEST(PluralityVote, CountsMultiplicityAndBreaksTiesTowardSmallerLabel) {
+  // Vertex 0: one neighbor in block 2, one in block 1 → tie → 1.
+  // Vertex 5: two edges into block 3, one into block 0 → 3.
+  // Vertex 8: only an unlabelled neighbor → −1.
+  const std::vector<Edge> edges = {{0, 1}, {2, 0}, {5, 6}, {6, 5},
+                                   {5, 7}, {8, 9}};
+  const Graph g = Graph::from_edges(10, edges);
+  const std::vector<std::int32_t> labels = {-1, 2, 1, -1, -1,
+                                            -1, 3, 0, -1, -1};
+  blockmodel::PluralityVote plurality(4);
+  EXPECT_EQ(plurality.vote(g, labels, 0), 1);
+  EXPECT_EQ(plurality.vote(g, labels, 5), 3);
+  EXPECT_EQ(plurality.vote(g, labels, 8), -1);
+  // The vote array is reused: an earlier vote must not leak into a
+  // later one.
+  EXPECT_EQ(plurality.vote(g, labels, 0), 1);
+}
+
+TEST(WarmRefit, EdgelessGraphIsOneBlock) {
+  const Graph g = Graph::from_edges(4, {});
+  const std::vector<std::int32_t> previous = {0, 1, 2};
+  const SbpResult result = warm_refit(g, previous, 3, SbpConfig{}, 3, 1);
+  EXPECT_EQ(result.num_blocks, 1);
+  EXPECT_EQ(result.assignment, (std::vector<std::int32_t>(4, 0)));
+}
+
+TEST(WarmRefit, NearTrivialPreviousPartitionRefitsCold) {
+  const auto g = planted(27);
+  SbpConfig config;
+  config.seed = 8;
+  config.num_threads = 1;  // == between two fits needs one thread
+  const std::vector<std::int32_t> previous(200, 0);
+  for (const blockmodel::BlockId blocks : {0, 1, 2}) {
+    const SbpResult warm = warm_refit(
+        g.graph, blocks == 0 ? std::vector<std::int32_t>{} : previous,
+        blocks, config, 3, 11);
+    const SbpResult cold = run(g.graph, config);
+    EXPECT_EQ(warm.assignment, cold.assignment) << "blocks " << blocks;
+    EXPECT_EQ(warm.num_blocks, cold.num_blocks);
+    EXPECT_EQ(warm.mdl, cold.mdl);
+  }
+}
+
+TEST(WarmRefit, OtherwiseExtendsRefinesAndRunsWarm) {
+  const auto g = planted(28);
+  SbpConfig config;
+  config.seed = 9;
+  config.num_threads = 1;
+  const std::vector<std::int32_t> previous(g.ground_truth.begin(),
+                                           g.ground_truth.begin() + 200);
+
+  blockmodel::BlockId num_blocks = 5;
+  const auto extended = extend_assignment(g.graph, previous, num_blocks);
+  const auto refined = refine_assignment(extended, num_blocks, 3, 13);
+  const SbpResult composed = run_warm(g.graph, config, refined, num_blocks);
+
+  const SbpResult warm = warm_refit(g.graph, previous, 5, config, 3, 13);
+  EXPECT_EQ(warm.assignment, composed.assignment);
+  EXPECT_EQ(warm.num_blocks, composed.num_blocks);
+  EXPECT_EQ(warm.mdl, composed.mdl);
+}
+
+TEST(ExtendAssignment, RejectsPreviousLabelsOutsideTheBlockCount) {
+  const Graph g = Graph::from_edges(3, {{{0, 1}, {1, 2}}});
+  const std::vector<std::int32_t> previous = {0, 2};
+  blockmodel::BlockId num_blocks = 2;
+  EXPECT_THROW(extend_assignment(g, previous, num_blocks),
                std::invalid_argument);
 }
 

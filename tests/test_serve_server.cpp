@@ -280,6 +280,27 @@ TEST(ServeServer, EphemeralTcpPortIsReportedAndServes) {
   server.stop();
 }
 
+TEST(ServeServer, SequentialTcpRequestsDoNotStallOnNagle) {
+  // A frame is two writes (length prefix, payload). Without TCP_NODELAY
+  // on both ends, each request and each reply waits for a delayed ACK:
+  // ~40 ms per round trip, so 50 PINGs took about 2 s.
+  ServeOptions options;
+  options.tcp_port = 0;
+  options.refit.base = fast_config();
+  Server server(options);
+  server.add_graph("g", tiny_graph());
+  server.start();
+
+  Client client = Client::connect_tcp(server.port());
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(client.request("PING"), "OK pong");
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  server.stop();
+  EXPECT_LT(elapsed, 1s);
+}
+
 TEST(ServeServer, RejectsEmptyGraphsAndLateRegistration) {
   ServeOptions options;
   options.tcp_port = 0;

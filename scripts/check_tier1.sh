@@ -59,6 +59,12 @@ cmake -B "$BUILD_DIR" -S . "${CMAKE_FLAGS[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
 
+# Stage 1a: the sbp suite again at one thread. The run above uses every
+# core; the parallel passes and the ordered high-degree sweep take a
+# different code path at one thread, and both must stay green.
+(cd "$BUILD_DIR" &&
+ OMP_NUM_THREADS=1 ctest --output-on-failure -j "$JOBS" -L hybrid)
+
 # Stage 1b: the repository benchmark. Its driver (perfbench/) compiles
 # against sbp::*_phase, GoldenSearch and serve::make_snapshot, so build
 # it against this tree's src/ (out of tree, under the build dir): a

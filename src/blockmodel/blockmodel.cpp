@@ -97,7 +97,10 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
   // rows — no two shards share a row, so no locks — accumulating d_out_
   // in the same sweep and re-emitting the merged cells bucketed by
   // column owner; phase C merges those into the column slices,
-  // accumulating d_in_. The likelihood partials are per-shard
+  // accumulating d_in_. Phases B and C sort the slices they own by key:
+  // the merge order depends on the shard count, and proposals sweep
+  // slices in order, so only sorted slices make a build independent of
+  // the thread count. The likelihood partials are per-shard
   // fixed-point integers, so the serial reduction at the end is
   // order-independent and the result is bit-identical to the
   // incrementally maintained sums.
@@ -159,11 +162,13 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
           t.total += count;
         }
       }
-      // Owned rows are final here: fold their cells into the likelihood
-      // partial and re-bucket them by column owner for phase C.
+      // Owned rows are final here: sort them, fold their cells into the
+      // likelihood partial and re-bucket them by column owner for
+      // phase C.
       auto& out_buckets = col_cells[static_cast<std::size_t>(s)];
       for (auto r = static_cast<BlockId>(s); r < num_blocks_;
            r += static_cast<BlockId>(shards)) {
+        m_.bulk_row(r).sort_by_key();
         for (const auto& [col, value] : m_.bulk_row(r)) {
           t.ll_cells += xlogx_fixed(value);
           out_buckets[static_cast<std::size_t>(col) % shards].push_back(
@@ -187,6 +192,7 @@ void Blockmodel::build_from(const GraphView& graph, Vertex chunk_vertices,
       }
       for (auto c = static_cast<BlockId>(s); c < num_blocks_;
            c += static_cast<BlockId>(shards)) {
+        m_.bulk_col(c).sort_by_key();
         t.ll_degrees += xlogx_fixed(d_in_[static_cast<std::size_t>(c)]);
       }
     }

@@ -1,5 +1,7 @@
 #include "blockmodel/flat_slice.hpp"
 
+#include <algorithm>
+
 namespace hsbp::blockmodel {
 
 int FlatSlice::spill_and_insert(BlockId key, Count delta) {
@@ -31,6 +33,14 @@ void FlatSlice::rehash(std::uint32_t capacity) {
     while (index_[slot] != 0) slot = (slot + 1) & mask;
     index_[slot] = pos + 1;
   }
+}
+
+void FlatSlice::sort_by_key() {
+  Entry* first = data();
+  std::sort(first, first + size_,
+            [](const Entry& x, const Entry& y) { return x.key < y.key; });
+  // Entry positions moved: re-point the probe table at them.
+  if (indexed()) rehash(static_cast<std::uint32_t>(index_.size()));
 }
 
 void FlatSlice::erase_slot(std::uint32_t hole) noexcept {

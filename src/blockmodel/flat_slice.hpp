@@ -14,8 +14,9 @@
 ///     iteration remains a linear sweep over contiguous memory.
 ///
 /// Iteration order is deterministic (insertion order, perturbed only by
-/// swap-remove on erase) but differs from std::unordered_map's — fixed
-/// seeds reproduce within a build, not against pre-FlatSlice builds.
+/// swap-remove on erase; a fresh Blockmodel build sorts every slice by
+/// key) but differs from std::unordered_map's — fixed seeds reproduce
+/// within a build, not against pre-FlatSlice builds.
 #pragma once
 
 #include <array>
@@ -117,6 +118,10 @@ class FlatSlice {
     Count ignored;
     return add(key, delta, ignored);
   }
+
+  /// Reorders the entries by ascending key — a canonical iteration
+  /// order that does not depend on the insertion history.
+  void sort_by_key();
 
   /// True once the slice has left inline mode (observable for tests).
   bool indexed() const noexcept { return !index_.empty(); }

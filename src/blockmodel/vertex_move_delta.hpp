@@ -206,9 +206,8 @@ MoveScratch& thread_move_scratch() noexcept;
 /// Membership view over a plain contiguous int32 label array. Gather
 /// loops recognize this type (it is not an opaque callable) and batch
 /// the base[u] lookups through util::simd::gather_i32 (`vpgatherdd`).
-/// The serial phases wrap the blockmodel's own assignment; the async
-/// phase wraps its shared atomic vector outside TSan builds, where
-/// relaxed atomic loads and plain loads are the same instruction.
+/// The serial phases wrap the blockmodel's own assignment, the async
+/// pass its workspace's membership vector.
 struct FlatMembershipView {
   const std::int32_t* base = nullptr;
   BlockId operator()(graph::Vertex u) const noexcept {
@@ -218,9 +217,9 @@ struct FlatMembershipView {
 
 /// Gathers neighbor-block counts into scratch.nb, reading memberships
 /// through `view`, a callable Vertex → BlockId. This is the A-SBP hook:
-/// the async phase passes a view over an atomically-updated shared
-/// membership vector, the serial phases a view over the blockmodel's
-/// own assignment. Dedup is O(deg(v)) via the per-block stamp indexes,
+/// the async pass passes a view over its workspace's memberships, which
+/// run ahead of the blockmodel within a pass, the serial phases a view
+/// over the blockmodel's own assignment. Dedup is O(deg(v)) via the per-block stamp indexes,
 /// which keep the counts readable (out_count/in_count) until the
 /// next gather on the same scratch. When `view`
 /// is a FlatMembershipView and the vertex degree is large, the

@@ -36,6 +36,18 @@ class Graph {
   /// \throws std::invalid_argument if an endpoint is outside [0, V).
   static Graph from_edges(Vertex num_vertices, std::span<const Edge> edges);
 
+  /// Adopts CSR arrays that already hold both directions: every edge
+  /// once in `out_targets` (indexed by source) and once in `in_sources`
+  /// (indexed by target). Neighbour order is kept as given, so a graph
+  /// derived from another (an induced subgraph) can list neighbours in
+  /// its parent's order.
+  /// \throws std::invalid_argument if the arrays are malformed or the
+  /// two directions disagree on a vertex's degrees.
+  static Graph from_csr(std::vector<std::uint64_t> out_offsets,
+                        std::vector<Vertex> out_targets,
+                        std::vector<std::uint64_t> in_offsets,
+                        std::vector<Vertex> in_sources);
+
   Vertex num_vertices() const noexcept {
     return static_cast<Vertex>(out_offsets_.empty() ? 0
                                                     : out_offsets_.size() - 1);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "graph/builder.hpp"
 #include "graph/degree.hpp"
 
 namespace hsbp::sample {
@@ -272,15 +272,32 @@ SampledGraph induced_subgraph(const GraphView& graph,
         static_cast<Vertex>(s);
   }
 
-  graph::GraphBuilder builder(static_cast<Vertex>(sampled.to_full.size()));
-  for (std::size_t s = 0; s < sampled.to_full.size(); ++s) {
-    const Vertex v = sampled.to_full[s];
-    for (const Vertex u : graph.out_neighbors(v)) {
+  // Both adjacency directions are filtered in the parent's order, so a
+  // full sample reproduces the parent graph exactly. The order is part
+  // of what a fit sees: a proposal walks the mover's neighbour blocks
+  // in the order its adjacency lists first reach them.
+  std::vector<std::uint64_t> out_offsets{0};
+  std::vector<std::uint64_t> in_offsets{0};
+  std::vector<Vertex> out_targets;
+  std::vector<Vertex> in_sources;
+  const auto keep_sampled = [&sampled](std::span<const Vertex> neighbors,
+                                       std::vector<Vertex>& kept) {
+    for (const Vertex u : neighbors) {
       const Vertex t = sampled.to_sample[static_cast<std::size_t>(u)];
-      if (t >= 0) builder.add_edge(static_cast<Vertex>(s), t);
+      if (t >= 0) kept.push_back(t);
     }
+  };
+  out_offsets.reserve(sampled.to_full.size() + 1);
+  in_offsets.reserve(sampled.to_full.size() + 1);
+  for (const Vertex v : sampled.to_full) {
+    keep_sampled(graph.out_neighbors(v), out_targets);
+    keep_sampled(graph.in_neighbors(v), in_sources);
+    out_offsets.push_back(out_targets.size());
+    in_offsets.push_back(in_sources.size());
   }
-  sampled.subgraph = builder.build();
+  sampled.subgraph =
+      graph::Graph::from_csr(std::move(out_offsets), std::move(out_targets),
+                             std::move(in_offsets), std::move(in_sources));
   return sampled;
 }
 

@@ -83,7 +83,9 @@ std::unique_ptr<Sampler> make_sampler(SamplerKind kind);
 
 /// Builds the induced subgraph over `vertices` (relabeled ascending;
 /// duplicates rejected). Every full-graph edge whose endpoints are both
-/// sampled appears with its multiplicity.
+/// sampled appears with its multiplicity, and each neighbour list keeps
+/// the full graph's order, so sampling every vertex returns a copy of
+/// the graph.
 /// \throws std::invalid_argument on out-of-range or duplicate ids.
 SampledGraph induced_subgraph(const graph::GraphView& graph,
                               std::vector<graph::Vertex> vertices);

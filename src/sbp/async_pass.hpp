@@ -3,31 +3,36 @@
 /// the pass-to-pass blockmodel maintenance around it, shared by the
 /// A-SBP phase, the parallel half of the H-SBP phase, and B-SBP.
 ///
-/// The pass reads/writes a shared membership vector with relaxed
-/// atomics: every vertex is owned by exactly one loop index (so its own
-/// cell has a single writer), while neighbor reads may observe a mix of
-/// pre-pass and in-pass values — precisely the staleness asynchronous
-/// Gibbs tolerates. Block sizes are tracked with a guarded atomic
-/// transfer so no block is ever emptied by a vertex move.
+/// A pass runs in rounds of kPassRound consecutive vertices of its
+/// list (DESIGN §11). In each round the team evaluates the round's
+/// vertices in parallel against the memberships as they stand at round
+/// start — nothing writes them meanwhile — and only records each
+/// vertex's proposed move. Then one thread walks the round in list
+/// order and accepts each proposed move unless it would empty its
+/// source block. A vertex therefore sees every move accepted in earlier
+/// rounds but none from its own round. Vertex v draws from
+/// util::keyed_stream(pass key, v, 0), and the round size is a constant,
+/// so a pass is a pure function of the workspace at pass start, the
+/// blockmodel and the pass key: `==` at any thread count, under every
+/// schedule, whatever the thread timing.
 ///
-/// Pass-to-pass maintenance (DESIGN §11): instead of paying O(E) per
-/// pass to rebuild the blockmodel from a snapshot, each thread logs its
-/// accepted moves. Because each vertex has a single writer and is
-/// evaluated at most once per pass, the union of the per-thread logs is
-/// exactly the pass diff — so applying the logged moves to the
-/// blockmodel through move_vertex (O(degree) each) lands on the same
-/// state a full rebuild would, cell for cell. finish_pass() applies the
-/// log when the moved degree mass is small (the common late-pass case)
-/// and falls back to a sharded full rebuild when a high-acceptance pass
-/// moved more than `rebuild_threshold` of the edge mass, where the
-/// rebuild's one-touch-per-edge scan is cheaper than ~4 slice updates
-/// per moved edge.
+/// Pass-to-pass maintenance: instead of paying O(E) per pass to rebuild
+/// the blockmodel from a snapshot, the in-order walk logs the accepted
+/// moves. Each vertex is evaluated at most once per pass, so the log is
+/// exactly the pass diff — applying it to the blockmodel through
+/// move_vertex (O(degree) each) lands on the same state a full rebuild
+/// would, cell for cell. finish_pass() applies the log when the moved
+/// degree mass is small (the common late-pass case) and falls back to
+/// a sharded full rebuild when a high-acceptance pass moved more than
+/// `rebuild_threshold` of the edge mass, where the rebuild's
+/// one-touch-per-edge scan is cheaper than ~4 slice updates per moved
+/// edge.
 #pragma once
 
 #include <omp.h>
 
 #include <algorithm>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,24 +42,7 @@
 #include "sbp/schedule.hpp"
 #include "util/omp_region.hpp"
 #include "util/rng.hpp"
-
-// The hot pass body reads the shared memberships through a plain-load
-// FlatMembershipView: for lock-free std::atomic<int32> a relaxed load
-// and a plain load are the same instruction, and the hogwild pass
-// tolerates any torn interleaving by design (it only needs *some*
-// recently-valid label). Under ThreadSanitizer the genuine atomic view
-// is kept so the race checker sees the accesses as the relaxed atomics
-// they semantically are.
-#if defined(__SANITIZE_THREAD__)
-#define HSBP_ASYNC_ATOMIC_VIEW 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define HSBP_ASYNC_ATOMIC_VIEW 1
-#endif
-#endif
-#ifndef HSBP_ASYNC_ATOMIC_VIEW
-#define HSBP_ASYNC_ATOMIC_VIEW 0
-#endif
+#include "util/round_barrier.hpp"
 
 namespace hsbp::sbp::detail {
 
@@ -62,9 +50,6 @@ struct AsyncPassCounters {
   std::int64_t proposals = 0;
   std::int64_t accepted = 0;
 };
-
-using AtomicAssignment = std::vector<std::atomic<std::int32_t>>;
-using AtomicSizes = std::vector<std::atomic<std::int32_t>>;
 
 /// One accepted move: vertex v ended the pass in block `to`.
 struct MoveRecord {
@@ -74,92 +59,56 @@ struct MoveRecord {
 
 /// What finish_pass() did with the move log.
 struct PassApply {
-  std::int64_t moved = 0;         ///< accepted moves in the log union
+  std::int64_t moved = 0;         ///< accepted moves in the log
   std::int64_t moved_degree = 0;  ///< Σ degree(v) over moved vertices
   bool rebuilt = false;           ///< true when it fell back to rebuild()
 };
 
-/// Fills `out` from the shared vector (parallel; out is resized).
-inline void snapshot_assignment_into(const AtomicAssignment& shared,
-                                     std::vector<std::int32_t>& out) {
-  out.resize(shared.size());
-  const auto count = static_cast<std::int64_t>(shared.size());
-  util::omp_region([&] {
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < count; ++i) {
-      out[static_cast<std::size_t>(i)] =
-          shared[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-    }
-  });
-}
+/// Marks "no move proposed" in PassWorkspace::proposed.
+inline constexpr std::int32_t kNoMove = -1;
 
-inline std::vector<std::int32_t> snapshot_assignment(
-    const AtomicAssignment& shared) {
-  std::vector<std::int32_t> out;
-  snapshot_assignment_into(shared, out);
-  return out;
-}
-
-/// Per-phase workspace for the asynchronous passes: the shared atomic
-/// membership vector, the atomic block sizes, the per-thread accepted-
-/// move logs, and a snapshot buffer for the rebuild fallback. Allocated
-/// once per phase (reset()) and reused across passes — the pass/apply
-/// cycle keeps `shared`/`sizes` equal to the blockmodel's state, so no
-/// copy-in is needed between passes.
+/// Per-phase workspace for the asynchronous passes: the post-pass
+/// membership vector and block sizes, the per-vertex proposals, and the
+/// accepted-move log. Allocated once per phase (reset()) and reused
+/// across passes — the pass/apply cycle keeps `shared`/`sizes` equal to
+/// the blockmodel's state, so no copy-in is needed between passes.
 ///
 /// Invariant between passes (established by reset(), preserved by
 /// async_pass() + finish_pass(), and by sync_move() for serial
 /// interleavings): shared[v] == b.assignment()[v] for every v, and
 /// sizes[r] == b.block_size(r) for every r.
 struct PassWorkspace {
-  AtomicAssignment shared;
-  AtomicSizes sizes;
-  std::vector<std::vector<MoveRecord>> logs;
-  std::vector<std::int32_t> snapshot;  ///< scratch for the fallback path
-  std::vector<graph::Vertex> order;    ///< DegreeSorted reorder buffer
-  /// Per-thread proposal/acceptance tallies, summed serially after the
-  /// pass (an OpenMP reduction would merge through libgomp internals
-  /// ThreadSanitizer cannot see; explicit slots keep the handoff on the
-  /// bridged fork/join path and the buffers reusable across passes).
-  std::vector<std::int64_t> thread_proposals;
-  std::vector<std::int64_t> thread_accepted;
+  /// Memberships after the last pass's accepted moves.
+  std::vector<std::int32_t> shared;
+  /// Block sizes after the last pass's accepted moves.
+  std::vector<std::int32_t> sizes;
+  /// proposed[v]: the block vertex v proposed to move to in the current
+  /// pass, or kNoMove. Written by the evaluating thread, one cell per
+  /// vertex; read by the in-order walk after the team joins.
+  std::vector<std::int32_t> proposed;
+  /// The pass's accepted moves, in the order of the pass's vertex list.
+  std::vector<MoveRecord> moves;
+  std::vector<graph::Vertex> order;  ///< DegreeSorted reorder buffer
 
   /// (Re)sizes the buffers and copies in the blockmodel's state. Call
-  /// once at phase start (vectors of atomics cannot resize in place, so
-  /// per-pass construction would reallocate; this reuses them).
+  /// once at phase start.
   void reset(const blockmodel::Blockmodel& b) {
-    const std::size_t v_count = b.assignment().size();
-    if (shared.size() != v_count) shared = AtomicAssignment(v_count);
-    const auto blocks = static_cast<std::size_t>(b.num_blocks());
-    if (sizes.size() != blocks) sizes = AtomicSizes(blocks);
-    logs.resize(static_cast<std::size_t>(omp_get_max_threads()));
-
-    const auto& assignment = b.assignment();
-    const auto count = static_cast<std::int64_t>(v_count);
-    util::omp_region([&] {
-#pragma omp for schedule(static)
-      for (std::int64_t i = 0; i < count; ++i) {
-        shared[static_cast<std::size_t>(i)].store(
-            assignment[static_cast<std::size_t>(i)],
-            std::memory_order_relaxed);
-      }
-    });
+    shared = b.assignment();
+    sizes.resize(static_cast<std::size_t>(b.num_blocks()));
     for (blockmodel::BlockId r = 0; r < b.num_blocks(); ++r) {
-      sizes[static_cast<std::size_t>(r)].store(b.block_size(r),
-                                               std::memory_order_relaxed);
+      sizes[static_cast<std::size_t>(r)] = b.block_size(r);
     }
+    proposed.resize(shared.size());
   }
 
   /// Mirrors a serially applied b.move_vertex(v, from → to) into the
-  /// workspace, keeping the between-pass invariant when a synchronous
+  /// workspace, keeping the between-pass invariant when the ordered
   /// sweep (H-SBP's high-degree half) interleaves with async passes.
   void sync_move(graph::Vertex v, blockmodel::BlockId from,
                  blockmodel::BlockId to) {
-    shared[static_cast<std::size_t>(v)].store(to, std::memory_order_relaxed);
-    sizes[static_cast<std::size_t>(from)].fetch_sub(1,
-                                                    std::memory_order_relaxed);
-    sizes[static_cast<std::size_t>(to)].fetch_add(1,
-                                                  std::memory_order_relaxed);
+    shared[static_cast<std::size_t>(v)] = to;
+    --sizes[static_cast<std::size_t>(from)];
+    ++sizes[static_cast<std::size_t>(to)];
   }
 };
 
@@ -170,140 +119,133 @@ struct PassWorkspace {
 /// overridable per call (and via McmcSettings::rebuild_threshold).
 inline constexpr double kDefaultRebuildThreshold = 0.25;
 
-/// Runs one parallel pass over `vertices`. `b` supplies the (stale)
-/// blockmodel for proposal weights and ΔMDL; `ws.shared`/`ws.sizes`
-/// carry the evolving memberships, and every accepted move is logged in
-/// the executing thread's `ws.logs` entry (cleared here at pass start).
-/// `schedule` picks the work distribution (see schedule.hpp): the
-/// default Static keeps the vertex→thread→RNG mapping deterministic for
-/// a fixed thread count; Dynamic/Guided trade that for load balance on
-/// skewed degree distributions (the paper's §5.5 remark), and
-/// DegreeSorted deals the heavy vertices round-robin while staying
-/// deterministic. The evolving-membership semantics are identical in
-/// every mode — only which thread evaluates which vertex (and hence
-/// which staleness interleavings occur) changes.
+/// Vertices per round of an asynchronous pass. A constant, so the
+/// result cannot depend on the team size. Small enough that a vertex
+/// rarely shares a round with a neighbour on graphs of thousands of
+/// vertices or more; large enough that a round's evaluations outweigh
+/// its two barriers at 4 threads.
+inline constexpr std::size_t kPassRound = 512;
+
+/// Runs one pass over `vertices` (see the file comment). `b` supplies
+/// the proposal weights and ΔMDL and is not written; memberships and
+/// block sizes come from `ws.shared`/`ws.sizes`, which the accepted
+/// moves update, and the moves are logged in list order in `ws.moves`.
+/// The pass key is drawn from `rngs.stream(0)`. `schedule` picks the
+/// work distribution of each round's evaluations (see schedule.hpp); it
+/// changes only which thread evaluates which vertex, never the result.
 inline AsyncPassCounters async_pass(
     const graph::GraphView& graph, const blockmodel::Blockmodel& b,
     PassWorkspace& ws, std::span<const graph::Vertex> vertices, double beta,
     util::RngPool& rngs, PassSchedule schedule = PassSchedule::Static) {
-  AsyncPassCounters counters;
+  ws.moves.clear();
+  const std::uint64_t pass_key = rngs.stream(0).next_u64();
+  const std::size_t count = vertices.size();
+  // Evaluation order; DegreeSorted reorders within each round only, so
+  // the rounds — and hence the result — stay the same.
+  std::span<const graph::Vertex> work = vertices;
   if (schedule == PassSchedule::DegreeSorted) {
-    degree_sorted_order(graph, vertices, ws.order);
-    vertices = ws.order;
+    degree_sorted_order(graph, vertices, ws.order, kPassRound);
+    work = ws.order;
   }
-  const auto count = static_cast<std::int64_t>(vertices.size());
 
-  const auto threads = static_cast<std::size_t>(omp_get_max_threads());
-  if (ws.logs.size() < threads) ws.logs.resize(threads);
-  for (auto& log : ws.logs) log.clear();
-  if (ws.thread_proposals.size() < threads) {
-    ws.thread_proposals.resize(threads);
-    ws.thread_accepted.resize(threads);
-  }
-  // Zero every slot up front: a smaller-than-max team would otherwise
-  // leave stale tallies from an earlier pass in the unclaimed slots.
-  std::fill(ws.thread_proposals.begin(), ws.thread_proposals.end(), 0);
-  std::fill(ws.thread_accepted.begin(), ws.thread_accepted.end(), 0);
-  auto& shared = ws.shared;
-  auto& sizes = ws.sizes;
-
-  // The loop body takes the tally counters as parameters: inside the
-  // parallel region the names bind to region-local (hence per-thread)
-  // accumulators, written out once per thread at pass end. Each thread
-  // evaluates through its own MoveScratch arena, so steady-state
-  // passes allocate nothing.
-#if HSBP_ASYNC_ATOMIC_VIEW
-  const auto view = [&shared](graph::Vertex u) {
-    return shared[static_cast<std::size_t>(u)].load(std::memory_order_relaxed);
-  };
-#else
-  static_assert(sizeof(std::atomic<std::int32_t>) == sizeof(std::int32_t) &&
-                    std::atomic<std::int32_t>::is_always_lock_free,
-                "flat view over the shared assignment requires plain-layout "
-                "lock-free atomics");
-  const blockmodel::FlatMembershipView view{
-      reinterpret_cast<const std::int32_t*>(shared.data())};
-#endif
-  const auto body = [&](std::int64_t i, std::int64_t& proposals_local,
-                        std::int64_t& accepted_local) {
-    const graph::Vertex v = vertices[static_cast<std::size_t>(i)];
+  // Each thread evaluates through its own MoveScratch arena, so
+  // steady-state passes allocate nothing.
+  const blockmodel::FlatMembershipView view{ws.shared.data()};
+  const auto evaluate = [&](std::size_t i) {
+    const graph::Vertex v = work[i];
+    util::Rng rng =
+        util::keyed_stream(pass_key, static_cast<std::uint64_t>(v), 0);
     const std::int32_t from = view(v);
-    const std::int32_t source_size =
-        sizes[static_cast<std::size_t>(from)].load(std::memory_order_relaxed);
-    const VertexOutcome outcome =
-        evaluate_vertex(graph, b, view, v, source_size, beta, rngs.local(),
-                        blockmodel::thread_move_scratch());
-    ++proposals_local;
-    if (!outcome.moved) return;
-    // Guarded size transfer: never empty a block, even under races.
-    auto& from_size = sizes[static_cast<std::size_t>(from)];
-    if (from_size.fetch_sub(1, std::memory_order_relaxed) <= 1) {
-      from_size.fetch_add(1, std::memory_order_relaxed);
-      return;
+    const VertexOutcome outcome = evaluate_vertex(
+        graph, b, view, v, ws.sizes[static_cast<std::size_t>(from)], beta,
+        rng, blockmodel::thread_move_scratch());
+    ws.proposed[static_cast<std::size_t>(v)] =
+        outcome.moved ? outcome.to : kNoMove;
+  };
+  // In-order accept: take each proposed move of the round unless it
+  // would empty its source block (the block count is owned by the
+  // merge phase). One evaluation per vertex, so the log is exactly the
+  // pass diff.
+  const auto accept = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const graph::Vertex v = vertices[i];
+      const std::int32_t to = ws.proposed[static_cast<std::size_t>(v)];
+      if (to == kNoMove) continue;
+      const std::int32_t from = ws.shared[static_cast<std::size_t>(v)];
+      if (ws.sizes[static_cast<std::size_t>(from)] <= 1) continue;
+      ws.sync_move(v, from, to);
+      ws.moves.push_back({v, to});
     }
-    sizes[static_cast<std::size_t>(outcome.to)].fetch_add(
-        1, std::memory_order_relaxed);
-    shared[static_cast<std::size_t>(v)].store(outcome.to,
-                                              std::memory_order_relaxed);
-    // Single writer per vertex + one evaluation per pass: at most one
-    // record per vertex, so the log union is exactly the pass diff.
-    ws.logs[static_cast<std::size_t>(omp_get_thread_num())].push_back(
-        {v, outcome.to});
-    ++accepted_local;
   };
 
-  util::omp_region([&] {
-    std::int64_t proposals_local = 0;
-    std::int64_t accepted_local = 0;
-    // Every thread takes the same branch (schedule is uniform across
-    // the team), so the team encounters one worksharing construct.
-    switch (schedule) {
-      case PassSchedule::Dynamic:
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < count; ++i) {
-          body(i, proposals_local, accepted_local);
-        }
-        break;
-      case PassSchedule::Guided:
-#pragma omp for schedule(guided) nowait
-        for (std::int64_t i = 0; i < count; ++i) {
-          body(i, proposals_local, accepted_local);
-        }
-        break;
-      case PassSchedule::DegreeSorted:
-        // The list is degree-descending; chunk size 1 deals it
-        // round-robin so each thread gets an even heavy/light mix.
-#pragma omp for schedule(static, 1) nowait
-        for (std::int64_t i = 0; i < count; ++i) {
-          body(i, proposals_local, accepted_local);
-        }
-        break;
-      case PassSchedule::Static:
-#pragma omp for schedule(static) nowait
-        for (std::int64_t i = 0; i < count; ++i) {
-          body(i, proposals_local, accepted_local);
-        }
-        break;
+  if (omp_get_max_threads() == 1) {
+    for (std::size_t begin = 0; begin < count; begin += kPassRound) {
+      const std::size_t end = std::min(begin + kPassRound, count);
+      for (std::size_t i = begin; i < end; ++i) evaluate(i);
+      accept(begin, end);
     }
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    ws.thread_proposals[tid] = proposals_local;
-    ws.thread_accepted[tid] = accepted_local;
-  });
-
-  for (std::size_t t = 0; t < threads; ++t) {
-    counters.proposals += ws.thread_proposals[t];
-    counters.accepted += ws.thread_accepted[t];
+  } else {
+    util::RoundBarrier barrier;
+    util::omp_region([&] {
+      const int team = omp_get_num_threads();
+      for (std::size_t begin = 0; begin < count; begin += kPassRound) {
+        const auto first = static_cast<std::int64_t>(begin);
+        const auto last =
+            static_cast<std::int64_t>(std::min(begin + kPassRound, count));
+        // Every thread takes the same branch (schedule is uniform across
+        // the team), so the team encounters one worksharing construct
+        // per round.
+        switch (schedule) {
+          case PassSchedule::Dynamic:
+#pragma omp for schedule(dynamic, 16) nowait
+            for (std::int64_t i = first; i < last; ++i) {
+              evaluate(static_cast<std::size_t>(i));
+            }
+            break;
+          case PassSchedule::Guided:
+#pragma omp for schedule(guided) nowait
+            for (std::int64_t i = first; i < last; ++i) {
+              evaluate(static_cast<std::size_t>(i));
+            }
+            break;
+          case PassSchedule::DegreeSorted:
+            // Each round is degree-descending; chunk size 1 deals it
+            // round-robin so each thread gets an even heavy/light mix.
+#pragma omp for schedule(static, 1) nowait
+            for (std::int64_t i = first; i < last; ++i) {
+              evaluate(static_cast<std::size_t>(i));
+            }
+            break;
+          case PassSchedule::Static:
+#pragma omp for schedule(static) nowait
+            for (std::int64_t i = first; i < last; ++i) {
+              evaluate(static_cast<std::size_t>(i));
+            }
+            break;
+        }
+        barrier.wait(team);  // evaluations → in-order accept
+        if (omp_get_thread_num() == 0) {
+          accept(static_cast<std::size_t>(first),
+                 static_cast<std::size_t>(last));
+        }
+        barrier.wait(team);  // accepted moves → next round
+      }
+    });
   }
+
+  AsyncPassCounters counters;
+  counters.proposals = static_cast<std::int64_t>(count);
+  counters.accepted = static_cast<std::int64_t>(ws.moves.size());
   return counters;
 }
 
-/// Applies the pass recorded in `ws.logs` to `b`: O(moved-degree) move
+/// Applies the pass recorded in `ws.moves` to `b`: O(moved-degree) move
 /// deltas when the moved degree mass is at most `rebuild_threshold` of
-/// the directed edge mass 2E, a full rebuild from a snapshot of
-/// `ws.shared` otherwise. Both paths leave b bit-identical to
-/// rebuild(snapshot) — the delta path because move_vertex preserves
-/// "state == f(assignment)" exactly at every step and the log union is
-/// the pass diff; the MDL because the likelihood sums are maintained in
+/// the directed edge mass 2E, a full rebuild from `ws.shared`
+/// otherwise. Both paths leave b bit-identical to rebuild(ws.shared) —
+/// the delta path because move_vertex preserves "state ==
+/// f(assignment)" exactly at every step and the log is the pass diff;
+/// the MDL because the likelihood sums are maintained in
 /// order-independent fixed point. Requires the PassWorkspace invariant
 /// (shared == b.assignment on entry to the preceding async_pass).
 inline PassApply finish_pass(const graph::GraphView& graph,
@@ -311,11 +253,9 @@ inline PassApply finish_pass(const graph::GraphView& graph,
                              double rebuild_threshold =
                                  kDefaultRebuildThreshold) {
   PassApply apply;
-  for (const auto& log : ws.logs) {
-    apply.moved += static_cast<std::int64_t>(log.size());
-    for (const MoveRecord& rec : log) {
-      apply.moved_degree += graph.degree(rec.v);
-    }
+  apply.moved = static_cast<std::int64_t>(ws.moves.size());
+  for (const MoveRecord& rec : ws.moves) {
+    apply.moved_degree += graph.degree(rec.v);
   }
   if (apply.moved == 0) return apply;
 
@@ -323,15 +263,12 @@ inline PassApply finish_pass(const graph::GraphView& graph,
   if (static_cast<double>(apply.moved_degree) >
       rebuild_threshold * edge_mass) {
     apply.rebuilt = true;
-    snapshot_assignment_into(ws.shared, ws.snapshot);
-    b.rebuild(graph, ws.snapshot);
+    b.rebuild(graph, ws.shared);
     return apply;
   }
 
-  for (const auto& log : ws.logs) {
-    for (const MoveRecord& rec : log) {
-      b.move_vertex(graph, rec.v, rec.to);
-    }
+  for (const MoveRecord& rec : ws.moves) {
+    b.move_vertex(graph, rec.v, rec.to);
   }
   return apply;
 }

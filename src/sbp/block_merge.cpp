@@ -48,12 +48,16 @@ MergeOutcome block_merge_phase(const graph::GraphView& graph, const Blockmodel& 
   }
 
   // Parallel proposal sweep: each block evaluates `proposals_per_block`
-  // candidate partners and records its best ΔMDL.
+  // candidate partners and records its best ΔMDL. Block c draws from a
+  // stream keyed on (merge key, c), so the sweep's result does not
+  // depend on which thread evaluates which block.
   std::vector<BestMerge> best(static_cast<std::size_t>(num_blocks));
+  const std::uint64_t merge_key = rngs.stream(0).next_u64();
   util::omp_region([&] {
 #pragma omp for schedule(static)
     for (BlockId c = 0; c < num_blocks; ++c) {
-      util::Rng& rng = rngs.local();
+      util::Rng rng =
+          util::keyed_stream(merge_key, static_cast<std::uint64_t>(c), 0);
       // Reuse the thread's scratch arena: the neighbor-count buffers
       // are cleared and refilled per block instead of reallocated.
       blockmodel::NeighborBlockCounts& nb =

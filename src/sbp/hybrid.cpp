@@ -1,12 +1,12 @@
 #include "blockmodel/mdl.hpp"
 #include "sbp/async_pass.hpp"
 #include "sbp/mcmc_phases.hpp"
+#include "sbp/ordered_sweep.hpp"
 
 namespace hsbp::sbp {
 
 using blockmodel::Blockmodel;
 using graph::GraphView;
-using graph::Vertex;
 
 PhaseOutcome hybrid_phase(const GraphView& graph, Blockmodel& b,
                           const McmcSettings& settings,
@@ -18,36 +18,27 @@ PhaseOutcome hybrid_phase(const GraphView& graph, Blockmodel& b,
       blockmodel::mdl(b, graph.num_vertices(), graph.num_edges());
   double current_mdl = stats.initial_mdl;
   ConvergenceWindow window(settings.threshold);
-  util::Rng& serial_rng = rngs.stream(0);
-  blockmodel::MoveScratch& scratch = blockmodel::thread_move_scratch();
+  // The high-degree sweep draws from streams keyed on (phase key, pass,
+  // position); the key comes from the pool, so checkpoints — which save
+  // the pool between phases — capture it.
+  const std::uint64_t phase_key = rngs.stream(0).next_u64();
 
-  // One workspace for the whole phase; the serial sweep mirrors its
-  // in-place moves into it (sync_move) so the shared memberships stay
-  // equal to b without a per-pass copy-in.
+  // One workspace for the whole phase; the sweep mirrors its in-place
+  // moves into it (sync_move) so the shared memberships stay equal to b
+  // without a per-pass copy-in.
   detail::PassWorkspace ws;
   ws.reset(b);
 
   for (int pass = 0; pass < settings.max_iterations; ++pass) {
     // Alg. 4, first half: the influential high-degree vertices get a
-    // synchronous Metropolis-Hastings sweep with in-place updates, so
-    // they "switch communities first" against fresh state. The flat
-    // view reads the in-place-updated assignment directly (no
-    // reallocation ever happens) and batch-gathers memberships for
-    // exactly these high-degree vertices.
-    const blockmodel::FlatMembershipView fresh_view{b.assignment().data()};
-    for (const Vertex v : split.high) {
-      const auto result =
-          evaluate_vertex(graph, b, fresh_view, v,
-                          b.block_size(b.block_of(v)), settings.beta,
-                          serial_rng, scratch);
-      ++stats.proposals;
-      if (result.moved) {
-        const auto from = b.block_of(v);
-        b.move_vertex(graph, v, result.to);
-        ws.sync_move(v, from, result.to);
-        ++stats.accepted;
-      }
-    }
+    // Metropolis-Hastings sweep in order with in-place updates, so they
+    // "switch communities first" against fresh state. The evaluations
+    // run speculatively on every thread; moves commit in order.
+    const auto sweep = detail::ordered_sweep(
+        graph, b, ws, split.high, settings.beta, phase_key,
+        static_cast<std::uint64_t>(pass));
+    stats.proposals += sweep.proposals;
+    stats.accepted += sweep.accepted;
     outcome.serial_updates += static_cast<std::int64_t>(split.high.size());
 
     // Second half: the low-degree majority in one asynchronous pass

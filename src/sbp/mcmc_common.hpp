@@ -23,8 +23,8 @@ struct McmcSettings {
   double beta = 3.0;
   double threshold = 1e-4;   ///< t in "ΔMDL < t × MDL"
   int max_iterations = 100;  ///< x in Algs. 2–4
-  /// Work distribution of the asynchronous passes (load balance vs.
-  /// reproducibility; see schedule.hpp and SbpConfig::schedule).
+  /// Work distribution of the asynchronous passes (load balance only;
+  /// see schedule.hpp and SbpConfig::schedule).
   PassSchedule schedule = PassSchedule::Static;
   /// Adaptive pass-apply fallback: rebuild the blockmodel instead of
   /// applying move deltas when a pass moved more than this fraction of

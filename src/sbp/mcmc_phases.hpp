@@ -29,17 +29,29 @@ PhaseOutcome metropolis_hastings_phase(const graph::GraphView& graph,
 
 /// Paper Alg. 3 — asynchronous Gibbs (A-SBP). One OpenMP-parallel pass
 /// per iteration: proposals are evaluated against the stale blockmodel
-/// and a shared membership vector updated with relaxed atomics (other
-/// threads' in-pass moves may or may not be visible — the "asynchronous"
-/// in the name); the blockmodel is rebuilt in parallel after each pass.
+/// (the "asynchronous" in the name) and the memberships as of the
+/// current round of the pass, whose moves are then accepted in vertex
+/// order (sbp/async_pass.hpp); the blockmodel is brought up to date
+/// after each pass. The result does not depend on the thread count.
 PhaseOutcome async_gibbs_phase(const graph::GraphView& graph,
                                blockmodel::Blockmodel& b,
                                const McmcSettings& settings,
                                util::RngPool& rngs);
 
 /// Paper Alg. 4 — hybrid (H-SBP): `split.high` (the top-degree vertices)
-/// is processed first, serially and in place; `split.low` then runs as
+/// is processed first, in order and in place; `split.low` then runs as
 /// one asynchronous pass; the blockmodel is rebuilt at pass end.
+///
+/// The high-degree sweep keeps the serial chain's semantics — every
+/// proposal sees every move accepted before it — but not its cost: the
+/// team evaluates a window of upcoming vertices speculatively, one
+/// thread commits the first accepted move in order, and the
+/// evaluations after it are redone (sbp/ordered_sweep.hpp). At the
+/// few-percent acceptance rates of this sweep a window is seldom cut
+/// short early, so most evaluations are kept. Its draws come from
+/// streams keyed on (phase key, pass, position), the key drawn once
+/// from `rngs.stream(0)`, so the sweep's result does not depend on the
+/// thread count.
 PhaseOutcome hybrid_phase(const graph::GraphView& graph,
                           blockmodel::Blockmodel& b,
                           const McmcSettings& settings,

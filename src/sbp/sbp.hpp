@@ -79,10 +79,9 @@ struct SbpConfig {
   int batch_count = 4;
 
   /// Work distribution of the asynchronous passes (schedule.hpp).
-  /// Dynamic/Guided improve load balance on skewed degree distributions
-  /// (the paper's §5.5 observation) at the cost of run-to-run
-  /// reproducibility; DegreeSorted balances hubs across threads while
-  /// staying deterministic at a fixed thread count.
+  /// Dynamic/Guided/DegreeSorted improve load balance on skewed degree
+  /// distributions (the paper's §5.5 observation); no schedule changes
+  /// the result.
   PassSchedule schedule = PassSchedule::Static;
 
   std::uint64_t seed = 0;

@@ -30,12 +30,17 @@ std::optional<PassSchedule> parse_schedule(std::string_view name) noexcept {
 
 void degree_sorted_order(const graph::GraphView& graph,
                          std::span<const graph::Vertex> vertices,
-                         std::vector<graph::Vertex>& out) {
+                         std::vector<graph::Vertex>& out,
+                         std::size_t run) {
   out.assign(vertices.begin(), vertices.end());
-  std::stable_sort(out.begin(), out.end(),
-                   [&graph](graph::Vertex a, graph::Vertex b) {
-                     return graph.degree(a) > graph.degree(b);
-                   });
+  const auto by_degree = [&graph](graph::Vertex a, graph::Vertex b) {
+    return graph.degree(a) > graph.degree(b);
+  };
+  for (std::size_t begin = 0; begin < out.size(); begin += run) {
+    const std::size_t end = out.size() - begin > run ? begin + run : out.size();
+    std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+                     out.begin() + static_cast<std::ptrdiff_t>(end), by_degree);
+  }
 }
 
 }  // namespace hsbp::sbp

@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <omp.h>
-
 #include <cassert>
 
 namespace hsbp::util {
@@ -62,12 +60,6 @@ void RngPool::restore_states(std::span<const Rng::State> states) {
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     streams_[i].set_state(states[i]);
   }
-}
-
-Rng& RngPool::local() noexcept {
-  const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-  assert(tid < streams_.size());
-  return streams_[tid];
 }
 
 }  // namespace hsbp::util

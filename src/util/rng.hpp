@@ -4,8 +4,9 @@
 /// The MCMC phases of SBP draw millions of proposals; std::mt19937 is both
 /// slow and awkward to split across OpenMP threads. We use xoshiro256**
 /// (Blackman & Vigna) seeded through SplitMix64, which gives:
-///   - bit-reproducible single-threaded runs for a fixed seed,
-///   - cheaply derivable independent per-thread streams (RngPool), and
+///   - bit-reproducible runs for a fixed seed,
+///   - cheaply derivable independent streams: indexed (RngPool) and
+///     keyed on the unit of work they serve (keyed_stream), and
 ///   - fast unbiased bounded integers via Lemire's multiply-shift trick.
 #pragma once
 
@@ -113,16 +114,26 @@ class Rng {
   std::uint64_t state_[4]{};
 };
 
-/// A pool of independent RNG streams, one per OpenMP thread. Stream i is
-/// seeded as SplitMix64(seed).next() applied i+1 times, so the pool is
-/// deterministic in (seed, stream index) and independent of thread count.
+/// Counter-based stream derivation: the generator for draw site
+/// (a, b) under `key`, e.g. (pass, position) under a phase key. The
+/// seed chains each word through a SplitMix64 step, so neighbouring
+/// sites get unrelated streams, and re-deriving a site replays its
+/// draws exactly — whichever thread asks, and however often.
+inline Rng keyed_stream(std::uint64_t key, std::uint64_t a,
+                        std::uint64_t b) noexcept {
+  const std::uint64_t h = SplitMix64(key).next();
+  return Rng(SplitMix64(SplitMix64(h ^ a).next() ^ b).next());
+}
+
+/// A pool of independent RNG streams. Stream i is seeded as
+/// SplitMix64(seed).next() applied i+1 times, so the pool is
+/// deterministic in (seed, stream index) and independent of thread
+/// count. Parallel code does not draw from per-thread streams: it draws
+/// a key from stream 0 serially and derives keyed_stream()s from it.
 class RngPool {
  public:
   /// \param streams number of independent streams (>= requested threads).
   RngPool(std::uint64_t seed, std::size_t streams);
-
-  /// Stream for the calling OpenMP thread (omp_get_thread_num()).
-  Rng& local() noexcept;
 
   /// Stream by explicit index. \pre index < size().
   Rng& stream(std::size_t index) noexcept { return streams_[index]; }

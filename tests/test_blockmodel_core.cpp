@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
 #include "blockmodel/blockmodel.hpp"
+#include "blockmodel/mdl.hpp"
 #include "generator/dcsbm.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
@@ -138,6 +141,56 @@ TEST(Blockmodel, RebuildMatchesFromAssignment) {
     }
   }
   EXPECT_TRUE(b.check_consistency(g));
+}
+
+/// The sharded build runs one shard per OpenMP thread; the slices it
+/// leaves behind must iterate in the same order whatever the thread
+/// count, since proposals sweep slices in order.
+TEST(Blockmodel, BuildIsIndependentOfThreadCount) {
+  generator::DcsbmParams params;
+  params.num_vertices = 400;
+  params.num_communities = 8;
+  params.num_edges = 6000;
+  params.seed = 17;
+  const auto g = generator::generate_dcsbm(params);
+  // 40 blocks: rows and columns spill past the inline slice capacity.
+  constexpr BlockId kBlocks = 40;
+  util::Rng rng(18);
+  std::vector<std::int32_t> labels(400);
+  for (auto& label : labels) {
+    label = static_cast<std::int32_t>(rng.uniform_int(kBlocks));
+  }
+
+  const int prev_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const auto serial = Blockmodel::from_assignment(g.graph, labels, kBlocks);
+  omp_set_num_threads(4);
+  const auto sharded = Blockmodel::from_assignment(g.graph, labels, kBlocks);
+  const auto rebuilt = [&] {
+    auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, kBlocks);
+    b.rebuild(g.graph, labels);
+    return b;
+  }();
+  omp_set_num_threads(prev_threads);
+
+  using Entry = FlatSlice::Entry;
+  const auto same_sequence = [](const FlatSlice& x, const FlatSlice& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](const Entry& a, const Entry& b) {
+                        return a.key == b.key && a.value == b.value;
+                      });
+  };
+  const auto v_count = g.graph.num_vertices();
+  const auto e_count = g.graph.num_edges();
+  const auto& want = serial.matrix();
+  for (const Blockmodel* other : {&sharded, &rebuilt}) {
+    const auto& got = other->matrix();
+    for (BlockId r = 0; r < kBlocks; ++r) {
+      EXPECT_TRUE(same_sequence(want.row(r), got.row(r))) << "row " << r;
+      EXPECT_TRUE(same_sequence(want.col(r), got.col(r))) << "col " << r;
+    }
+    EXPECT_EQ(mdl(serial, v_count, e_count), mdl(*other, v_count, e_count));
+  }
 }
 
 /// Property: arbitrary random move sequences stay consistent with a

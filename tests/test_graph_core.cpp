@@ -88,6 +88,37 @@ TEST(Graph, RejectsNegativeVertexCount) {
   EXPECT_THROW(Graph::from_edges(-1, {}), std::invalid_argument);
 }
 
+TEST(Graph, FromCsrKeepsNeighbourOrder) {
+  // 0→1, 0→2, 2→1, 1→1: the in-list of 1 given as 1, 2, 0 stays so.
+  const Graph g = Graph::from_csr({0, 2, 3, 4}, {2, 1, 1, 1},
+                                  {0, 0, 3, 4}, {1, 2, 0, 0});
+  EXPECT_EQ(g.num_vertices(), 3);
+  EXPECT_EQ(g.num_edges(), 4);
+  EXPECT_EQ(g.num_self_loops(), 1);
+  const auto out0 = g.out_neighbors(0);
+  EXPECT_EQ(std::vector<Vertex>(out0.begin(), out0.end()),
+            (std::vector<Vertex>{2, 1}));
+  const auto in1 = g.in_neighbors(1);
+  EXPECT_EQ(std::vector<Vertex>(in1.begin(), in1.end()),
+            (std::vector<Vertex>{1, 2, 0}));
+  EXPECT_EQ(g.degree(1), 4);
+}
+
+TEST(Graph, FromCsrRejectsMalformedArrays) {
+  // Offsets that do not end at the target count.
+  EXPECT_THROW(Graph::from_csr({0, 2}, {0}, {0, 1}, {0}),
+               std::invalid_argument);
+  // Neighbour id out of range.
+  EXPECT_THROW(Graph::from_csr({0, 1}, {1}, {0, 1}, {0}),
+               std::invalid_argument);
+  // Directions disagree: out says 0→1, in says 1→0.
+  EXPECT_THROW(Graph::from_csr({0, 1, 1}, {1}, {0, 1, 1}, {1}),
+               std::invalid_argument);
+  // Different vertex counts.
+  EXPECT_THROW(Graph::from_csr({0, 0}, {}, {0, 0, 0}, {}),
+               std::invalid_argument);
+}
+
 TEST(GraphBuilder, GrowsVertexCount) {
   GraphBuilder builder;
   builder.add_edge(0, 5).add_edge(3, 1);

@@ -185,5 +185,38 @@ TEST(InducedSubgraph, KeepsSelfLoopsAndMultiplicity) {
   EXPECT_EQ(sampled.subgraph.num_self_loops(), 1);
 }
 
+TEST(InducedSubgraph, FullSampleIsTheSameGraph) {
+  // Every neighbour list keeps the parent's order, so a full sample is
+  // the graph itself — in-lists included, whose order from_edges takes
+  // from the edge list rather than from the source ids.
+  const auto g = planted(9);
+  std::vector<Vertex> all(static_cast<std::size_t>(g.graph.num_vertices()));
+  for (std::size_t v = 0; v < all.size(); ++v) {
+    all[v] = static_cast<Vertex>(v);
+  }
+  const auto sampled = induced_subgraph(g.graph, all);
+  ASSERT_EQ(sampled.subgraph.num_vertices(), g.graph.num_vertices());
+  EXPECT_EQ(sampled.subgraph.num_edges(), g.graph.num_edges());
+  EXPECT_EQ(sampled.subgraph.num_self_loops(), g.graph.num_self_loops());
+  for (Vertex v = 0; v < g.graph.num_vertices(); ++v) {
+    const auto out = sampled.subgraph.out_neighbors(v);
+    const auto in = sampled.subgraph.in_neighbors(v);
+    EXPECT_TRUE(std::ranges::equal(out, g.graph.out_neighbors(v))) << v;
+    EXPECT_TRUE(std::ranges::equal(in, g.graph.in_neighbors(v))) << v;
+  }
+}
+
+TEST(InducedSubgraph, KeepsParentNeighbourOrder) {
+  // In-list of 2 in the parent: 3, 0, 1 (edge-list order).
+  const Graph g = Graph::from_edges(4, {{{3, 2}, {0, 2}, {1, 2}, {0, 1}}});
+  const auto sampled = induced_subgraph(g, {0, 2, 3});
+  // Relabelled 0→0, 2→1, 3→2: the in-list of 1 is 2, 0 — still parent
+  // order, although the sources are visited in id order.
+  const auto in = sampled.subgraph.in_neighbors(1);
+  EXPECT_EQ(std::vector<Vertex>(in.begin(), in.end()),
+            (std::vector<Vertex>{2, 0}));
+  EXPECT_EQ(sampled.subgraph.num_edges(), 2);
+}
+
 }  // namespace
 }  // namespace hsbp::sample

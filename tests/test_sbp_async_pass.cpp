@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "generator/dcsbm.hpp"
@@ -27,7 +28,7 @@ TEST(AtomicHelpers, AssignmentRoundTrip) {
   const auto b = Blockmodel::from_assignment(g.graph, g.ground_truth, 5);
   PassWorkspace ws;
   ws.reset(b);
-  EXPECT_EQ(snapshot_assignment(ws.shared), b.assignment());
+  EXPECT_EQ(ws.shared, b.assignment());
 }
 
 TEST(AtomicHelpers, SizesMatchBlockmodel) {
@@ -42,7 +43,7 @@ TEST(AtomicHelpers, SizesMatchBlockmodel) {
   ws.reset(b);
   ASSERT_EQ(ws.sizes.size(), 4u);
   for (BlockId r = 0; r < 4; ++r) {
-    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)].load(), b.block_size(r));
+    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)], b.block_size(r));
   }
 }
 
@@ -59,12 +60,12 @@ TEST(AtomicHelpers, ResetReusesBuffersAcrossCalls) {
   const auto* shared_data = ws.shared.data();
   b.move_vertex(g.graph, 0, (b.block_of(0) + 1) % 4);
   ws.reset(b);
-  // Same sizes → the atomic vectors are reused, not reallocated, and
+  // Same sizes → the vectors are reused, not reallocated, and
   // the contents track the mutated blockmodel.
   EXPECT_EQ(ws.shared.data(), shared_data);
-  EXPECT_EQ(snapshot_assignment(ws.shared), b.assignment());
+  EXPECT_EQ(ws.shared, b.assignment());
   for (BlockId r = 0; r < 4; ++r) {
-    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)].load(), b.block_size(r));
+    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)], b.block_size(r));
   }
 }
 
@@ -88,7 +89,7 @@ TEST(AsyncPass, EvaluatesExactlyTheGivenVertices) {
 
   // Vertices outside the subset are untouched, and the move log only
   // mentions subset vertices.
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = ws.shared;
   for (Vertex v = 0; v < 120; ++v) {
     const bool in_subset =
         std::find(subset.begin(), subset.end(), v) != subset.end();
@@ -96,10 +97,8 @@ TEST(AsyncPass, EvaluatesExactlyTheGivenVertices) {
       EXPECT_EQ(result[static_cast<std::size_t>(v)], b.block_of(v));
     }
   }
-  for (const auto& log : ws.logs) {
-    for (const MoveRecord& rec : log) {
-      EXPECT_NE(std::find(subset.begin(), subset.end(), rec.v), subset.end());
-    }
+  for (const MoveRecord& rec : ws.moves) {
+    EXPECT_NE(std::find(subset.begin(), subset.end(), rec.v), subset.end());
   }
 }
 
@@ -119,20 +118,18 @@ TEST(AsyncPass, MoveLogIsExactlyThePassDiff) {
   util::RngPool rngs(7, 4);
   const auto counters = async_pass(g.graph, b, ws, all, 3.0, rngs);
 
-  // Each vertex appears at most once across the per-thread logs, the
-  // logged destinations match the shared memberships, and every vertex
+  // Each vertex appears at most once in the log, the logged
+  // destinations match the post-pass memberships, and every vertex
   // whose membership changed is in the log.
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = ws.shared;
   std::set<Vertex> logged;
   std::int64_t records = 0;
-  for (const auto& log : ws.logs) {
-    for (const MoveRecord& rec : log) {
-      ++records;
-      EXPECT_TRUE(logged.insert(rec.v).second)
-          << "vertex " << rec.v << " logged twice";
-      EXPECT_EQ(result[static_cast<std::size_t>(rec.v)], rec.to);
-      EXPECT_NE(rec.to, b.block_of(rec.v));
-    }
+  for (const MoveRecord& rec : ws.moves) {
+    ++records;
+    EXPECT_TRUE(logged.insert(rec.v).second)
+        << "vertex " << rec.v << " logged twice";
+    EXPECT_EQ(result[static_cast<std::size_t>(rec.v)], rec.to);
+    EXPECT_NE(rec.to, b.block_of(rec.v));
   }
   EXPECT_EQ(records, counters.accepted);
   for (Vertex v = 0; v < 200; ++v) {
@@ -159,13 +156,13 @@ TEST(AsyncPass, SizeAccountingStaysExact) {
   async_pass(g.graph, b, ws, all, 3.0, rngs);
 
   // Tracked sizes equal recounted sizes; all blocks stay non-empty.
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = ws.shared;
   std::vector<std::int32_t> recounted(5, 0);
   for (const std::int32_t label : result) {
     ++recounted[static_cast<std::size_t>(label)];
   }
   for (BlockId r = 0; r < 5; ++r) {
-    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)].load(),
+    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)],
               recounted[static_cast<std::size_t>(r)]);
     EXPECT_GT(recounted[static_cast<std::size_t>(r)], 0);
   }
@@ -195,7 +192,7 @@ TEST(AsyncPass, NeverEmptiesSingletonBlocks) {
   util::RngPool rngs(3, 4);
   async_pass(g.graph, b, ws, all, 3.0, rngs);
 
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = ws.shared;
   std::vector<int> counts(6, 0);
   for (const std::int32_t label : result) {
     ++counts[static_cast<std::size_t>(label)];
@@ -206,14 +203,9 @@ TEST(AsyncPass, NeverEmptiesSingletonBlocks) {
 }
 
 TEST(AsyncPass, DeterministicForSingleThreadTeam) {
-  // The hogwild pass reads neighbors' *live* labels, so with more than
-  // one thread the accepted set depends on cross-thread visibility
-  // timing — the static schedule pins the vertex→RNG mapping, not the
-  // interleaving (TSan's scheduler perturbation surfaces this). The
-  // replayable contract is the single-thread team: same seed, same
-  // schedule, identical result, asserted exactly here. Multi-thread
-  // passes promise workspace validity (invariant tests above), not
-  // replay.
+  // Same seed, same result, replayed exactly;
+  // AsyncPassSchedule.SameResultAtEveryThreadCount extends this across
+  // team sizes and schedules.
   generator::DcsbmParams p;
   p.num_vertices = 150;
   p.num_communities = 4;
@@ -231,7 +223,7 @@ TEST(AsyncPass, DeterministicForSingleThreadTeam) {
     ws.reset(b);
     util::RngPool rngs(9, 4);
     async_pass(g.graph, b, ws, all, 3.0, rngs);
-    return snapshot_assignment(ws.shared);
+    return ws.shared;
   };
   const auto first = run_once();
   const auto second = run_once();
@@ -253,7 +245,7 @@ TEST(AsyncPass, EmptyVertexSetIsNoop) {
   const auto counters = async_pass(g.graph, b, ws, {}, 3.0, rngs);
   EXPECT_EQ(counters.proposals, 0);
   EXPECT_EQ(counters.accepted, 0);
-  EXPECT_EQ(snapshot_assignment(ws.shared), b.assignment());
+  EXPECT_EQ(ws.shared, b.assignment());
   const auto apply = finish_pass(g.graph, b, ws);
   EXPECT_EQ(apply.moved, 0);
   EXPECT_EQ(apply.moved_degree, 0);
@@ -280,9 +272,9 @@ TEST(AsyncPass, SyncMoveKeepsWorkspaceInvariant) {
     b.move_vertex(g.graph, v, to);
     ws.sync_move(v, from, to);
   }
-  EXPECT_EQ(snapshot_assignment(ws.shared), b.assignment());
+  EXPECT_EQ(ws.shared, b.assignment());
   for (BlockId r = 0; r < 3; ++r) {
-    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)].load(), b.block_size(r));
+    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)], b.block_size(r));
   }
 }
 
@@ -321,12 +313,30 @@ TEST(Schedule, DegreeSortedOrderIsDescendingAndStable) {
     // Stability: equal degrees keep their input (ascending-id) order.
     if (prev == cur) EXPECT_LT(order[i - 1], order[i]);
   }
+
+  // Sorting within runs of 50 (the async pass sorts each round): every
+  // run is a descending permutation of the same run of the input.
+  degree_sorted_order(g.graph, all, order, 50);
+  ASSERT_EQ(order.size(), all.size());
+  for (std::size_t begin = 0; begin < order.size(); begin += 50) {
+    const std::size_t end = std::min(begin + 50, order.size());
+    std::vector<Vertex> run(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                            order.begin() + static_cast<std::ptrdiff_t>(end));
+    for (std::size_t i = 1; i < run.size(); ++i) {
+      EXPECT_GE(g.graph.degree(run[i - 1]), g.graph.degree(run[i]));
+    }
+    std::sort(run.begin(), run.end());
+    EXPECT_EQ(run, std::vector<Vertex>(
+                       all.begin() + static_cast<std::ptrdiff_t>(begin),
+                       all.begin() + static_cast<std::ptrdiff_t>(end)));
+  }
 }
 
 /// One pass + apply under every schedule: the work distribution must
-/// not affect any workspace or blockmodel invariant. Running this
-/// suite under TSan (ctest -L async in check_tier1.sh) exercises the
-/// chunk-stealing interleavings the static schedule never produces.
+/// not affect any workspace or blockmodel invariant, nor the result.
+/// Running this suite under TSan (ctest -L async in check_tier1.sh)
+/// exercises the chunk-stealing interleavings the static schedule never
+/// produces.
 class AsyncPassSchedule : public ::testing::TestWithParam<PassSchedule> {};
 
 TEST_P(AsyncPassSchedule, PassAndApplyKeepInvariants) {
@@ -350,13 +360,13 @@ TEST_P(AsyncPassSchedule, PassAndApplyKeepInvariants) {
 
   // Size accounting stays exact and no block empties, regardless of
   // which thread evaluated which vertex.
-  const auto result = snapshot_assignment(ws.shared);
+  const auto result = ws.shared;
   std::vector<std::int32_t> recounted(5, 0);
   for (const std::int32_t label : result) {
     ++recounted[static_cast<std::size_t>(label)];
   }
   for (BlockId r = 0; r < 5; ++r) {
-    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)].load(),
+    EXPECT_EQ(ws.sizes[static_cast<std::size_t>(r)],
               recounted[static_cast<std::size_t>(r)]);
     EXPECT_GT(recounted[static_cast<std::size_t>(r)], 0);
   }
@@ -367,9 +377,7 @@ TEST_P(AsyncPassSchedule, PassAndApplyKeepInvariants) {
 }
 
 TEST_P(AsyncPassSchedule, DeterministicForSingleThreadTeam) {
-  // Static and DegreeSorted promise a deterministic vertex→thread→RNG
-  // mapping at a fixed thread count; with a single-thread team every
-  // schedule degenerates to a fixed order, so all four must replay.
+  // Every schedule must replay a single-thread team exactly.
   generator::DcsbmParams p;
   p.num_vertices = 150;
   p.num_communities = 4;
@@ -387,12 +395,49 @@ TEST_P(AsyncPassSchedule, DeterministicForSingleThreadTeam) {
     ws.reset(b);
     util::RngPool rngs(9, 4);
     async_pass(g.graph, b, ws, all, 3.0, rngs, GetParam());
-    return snapshot_assignment(ws.shared);
+    return ws.shared;
   };
   const auto first = run_once();
   const auto second = run_once();
   omp_set_num_threads(prev_threads);
   EXPECT_EQ(first, second);
+}
+
+TEST_P(AsyncPassSchedule, SameResultAtEveryThreadCount) {
+  // A pass reads the pass-start memberships and draws keyed on the
+  // vertex, so neither the team size nor the schedule may change which
+  // moves it accepts. The Static single-thread pass is the reference.
+  generator::DcsbmParams p;
+  p.num_vertices = 400;
+  p.num_communities = 6;
+  p.num_edges = 3200;
+  p.seed = 44;
+  const auto g = generator::generate_dcsbm(p);
+  std::vector<std::int32_t> start = g.ground_truth;
+  for (std::size_t v = 0; v < start.size(); v += 3) {
+    start[v] = static_cast<std::int32_t>((start[v] + 1) % 6);
+  }
+  const auto b = Blockmodel::from_assignment(g.graph, start, 6);
+  std::vector<Vertex> all(400);
+  std::iota(all.begin(), all.end(), 0);
+
+  const int prev_threads = omp_get_max_threads();
+  const auto run_with = [&](int threads, PassSchedule schedule) {
+    omp_set_num_threads(threads);
+    PassWorkspace ws;
+    ws.reset(b);
+    util::RngPool rngs(13, 4);
+    const auto counters = async_pass(g.graph, b, ws, all, 1.0, rngs, schedule);
+    return std::make_pair(ws.shared, counters.accepted);
+  };
+  const auto reference = run_with(1, PassSchedule::Static);
+  ASSERT_GT(reference.second, 0) << "pass moved nothing; raise acceptance";
+  for (const int threads : {1, 2, 4}) {
+    const auto got = run_with(threads, GetParam());
+    EXPECT_EQ(got.first, reference.first) << threads << " threads";
+    EXPECT_EQ(got.second, reference.second) << threads << " threads";
+  }
+  omp_set_num_threads(prev_threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -16,6 +16,7 @@
 #include "generator/dcsbm.hpp"
 #include "sbp/async_pass.hpp"
 #include "sbp/mcmc_common.hpp"
+#include "sbp/ordered_sweep.hpp"
 #include "util/rng.hpp"
 
 namespace hsbp::sbp::detail {
@@ -81,7 +82,7 @@ void expect_identical(const Blockmodel& got, const Blockmodel& want,
 /// from-scratch construction.
 Blockmodel reference_of(const graph::Graph& graph, const PassWorkspace& ws,
                         BlockId num_blocks) {
-  return Blockmodel::from_assignment(graph, snapshot_assignment(ws.shared),
+  return Blockmodel::from_assignment(graph, ws.shared,
                                      num_blocks);
 }
 
@@ -135,27 +136,16 @@ TEST_P(DeltaApplyBitIdentity, HsbpPassesWithSerialSweep) {
   const std::vector<Vertex> low(order.begin() + 12, order.end());
 
   util::RngPool rngs(22, 4);
-  util::Rng& serial_rng = rngs.stream(0);
-  blockmodel::MoveScratch scratch;
+  const std::uint64_t phase_key = rngs.stream(0).next_u64();
   PassWorkspace ws;
   ws.reset(b);
 
   for (int pass = 0; pass < 4; ++pass) {
     SCOPED_TRACE("pass " + std::to_string(pass));
-    // Synchronous high-degree sweep with mirrored moves (Alg. 4 first
-    // half), exactly as hybrid_phase interleaves with the workspace.
-    const auto fresh_view = [&b](Vertex u) { return b.block_of(u); };
-    for (const Vertex v : high) {
-      const auto result =
-          evaluate_vertex(g.graph, b, fresh_view, v,
-                          b.block_size(b.block_of(v)), 1.0, serial_rng,
-                          scratch);
-      if (result.moved) {
-        const auto from = b.block_of(v);
-        b.move_vertex(g.graph, v, result.to);
-        ws.sync_move(v, from, result.to);
-      }
-    }
+    // The high-degree sweep hybrid_phase runs (Alg. 4 first half), with
+    // its moves mirrored into the workspace.
+    ordered_sweep(g.graph, b, ws, high, 1.0, phase_key,
+                  static_cast<std::uint64_t>(pass));
     async_pass(g.graph, b, ws, low, 1.0, rngs);
     const auto want = reference_of(g.graph, ws, kBlocks);
 

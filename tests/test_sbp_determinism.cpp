@@ -12,6 +12,7 @@
 ///      bit-identical — making it an end-to-end equivalence check, not
 ///      a statistical one.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstdint>
 #include <vector>
@@ -58,6 +59,31 @@ TEST_P(SeedDeterminism, SameSeedSameResult) {
   EXPECT_EQ(first.stats.proposals, second.stats.proposals);
   EXPECT_EQ(first.stats.accepted_moves, second.stats.accepted_moves);
   EXPECT_EQ(first.stats.outer_iterations, second.stats.outer_iterations);
+}
+
+TEST_P(SeedDeterminism, SameResultAtEveryThreadCount) {
+  // Every parallel step draws from streams keyed on what it evaluates
+  // (vertex, block), and the asynchronous passes accept moves in list
+  // order, so the team size cannot change the chain.
+  const auto g = planted(24);
+  const int prev_threads = omp_get_max_threads();
+  SbpConfig config;
+  config.variant = GetParam();
+  config.seed = 78;
+  config.num_threads = 1;
+  const auto reference = run(g.graph, config);
+  for (const int threads : {2, 4}) {
+    config.num_threads = threads;
+    const auto got = run(g.graph, config);
+    EXPECT_EQ(got.assignment, reference.assignment) << threads << " threads";
+    EXPECT_EQ(got.num_blocks, reference.num_blocks) << threads << " threads";
+    EXPECT_EQ(got.mdl, reference.mdl) << threads << " threads";
+    EXPECT_EQ(got.stats.proposals, reference.stats.proposals)
+        << threads << " threads";
+    EXPECT_EQ(got.stats.accepted_moves, reference.stats.accepted_moves)
+        << threads << " threads";
+  }
+  omp_set_num_threads(prev_threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, SeedDeterminism,

@@ -24,6 +24,26 @@ TEST(SplitMix64, DifferentSeedsDiverge) {
   EXPECT_NE(a.next(), b.next());
 }
 
+TEST(KeyedStream, SameKeySameStream) {
+  Rng a = keyed_stream(7, 3, 11);
+  Rng b = keyed_stream(7, 3, 11);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(KeyedStream, NeighbouringKeysGiveDifferentStreams) {
+  // Every site of a 3×3×3 cube of adjacent keys — including the swapped
+  // (a, b) pairs — starts a stream of its own.
+  std::set<std::uint64_t> first_draws;
+  for (std::uint64_t key = 0; key < 3; ++key) {
+    for (std::uint64_t a = 0; a < 3; ++a) {
+      for (std::uint64_t b = 0; b < 3; ++b) {
+        first_draws.insert(keyed_stream(key, a, b).next_u64());
+      }
+    }
+  }
+  EXPECT_EQ(first_draws.size(), 27u);
+}
+
 TEST(Rng, DeterministicForFixedSeed) {
   Rng a(123);
   Rng b(123);
